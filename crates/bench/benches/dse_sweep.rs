@@ -21,6 +21,17 @@ use std::time::{Duration, Instant};
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rt_dse::prelude::*;
+use rt_dse::sink::{outcome_to_csv_row, outcome_to_json, CSV_HEADER};
+
+/// Runs `spec` on `threads` workers, buffering every outcome in grid order.
+fn collect_outcomes(spec: &ScenarioSpec, threads: usize) -> Vec<ScenarioOutcome> {
+    let mut sink = VecSink::new();
+    SweepSession::new(spec.clone())
+        .threads(threads)
+        .run(&mut sink)
+        .expect("a VecSink never fails");
+    sink.into_outcomes()
+}
 
 /// A mid-sized allocate-only sweep: 2 core counts × 6 utilization points ×
 /// 3 trials × 2 allocators = 72 scenarios per iteration.
@@ -42,8 +53,7 @@ fn bench_sweep_throughput(c: &mut Criterion) {
             &threads,
             |b, &threads| {
                 let spec = sweep_spec();
-                let executor = Executor::with_threads(threads);
-                b.iter(|| executor.run(std::hint::black_box(&spec)));
+                b.iter(|| collect_outcomes(std::hint::black_box(&spec), threads));
             },
         );
     }
@@ -59,23 +69,28 @@ fn bench_streaming_vs_buffered(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function("buffered_then_rendered", |b| {
         let spec = sweep_spec();
-        let executor = Executor::with_threads(2);
         b.iter(|| {
-            let result = executor.run(std::hint::black_box(&spec));
-            let jsonl = to_jsonl(&result.outcomes);
-            let csv = to_csv(&result.outcomes);
+            let outcomes = collect_outcomes(std::hint::black_box(&spec), 2);
+            let mut jsonl = String::new();
+            let mut csv = format!("{CSV_HEADER}\n");
+            for outcome in &outcomes {
+                jsonl.push_str(&outcome_to_json(outcome));
+                jsonl.push('\n');
+                csv.push_str(&outcome_to_csv_row(outcome));
+                csv.push('\n');
+            }
             std::hint::black_box((jsonl.len(), csv.len()))
         });
     });
     group.bench_function("streaming_sinks", |b| {
         let spec = sweep_spec();
-        let executor = Executor::with_threads(2);
         b.iter(|| {
             let mut jsonl = JsonlSink::new(Vec::new());
             let mut csv = CsvSink::new(Vec::new(), true);
             let mut tee = rt_dse::TeeSink::new().with(&mut jsonl).with(&mut csv);
-            executor
-                .run_streaming(std::hint::black_box(&spec), &mut tee)
+            SweepSession::new(std::hint::black_box(&spec).clone())
+                .threads(2)
+                .run(&mut tee)
                 .expect("in-memory sinks never fail");
             std::hint::black_box((jsonl.bytes_written(), csv.bytes_written()))
         });
@@ -108,8 +123,7 @@ fn bench_memoized_vs_fresh_generation(c: &mut Criterion) {
                 AllocatorKind::NpHydra,
             ][..n]
                 .to_vec();
-            let executor = Executor::serial();
-            b.iter(|| executor.run(std::hint::black_box(&spec)));
+            b.iter(|| collect_outcomes(std::hint::black_box(&spec), 1));
         });
     }
     group.finish();
@@ -144,16 +158,23 @@ fn bench_gate(_c: &mut Criterion) {
     let grid_size = ScenarioGrid::expand(&spec).len();
     let threads = 2usize;
     let obs = SweepObs::enabled();
-    let executor = Executor::with_threads(threads).with_observability(obs.clone());
+    // Each repetition buffers its outcomes, as the gate always has.
+    let run = || {
+        SweepSession::new(std::hint::black_box(&spec).clone())
+            .threads(threads)
+            .observability(obs.clone())
+            .run(&mut VecSink::new())
+            .expect("a VecSink never fails")
+            .evaluated()
+    };
 
     // Warm-up once (page in, prime allocator), then time whole-sweep
     // repetitions until at least ~0.6 s of work has been measured.
-    let _ = executor.run(std::hint::black_box(&spec));
+    let _ = run();
     let mut evaluated = 0usize;
     let started = Instant::now();
     while started.elapsed() < Duration::from_millis(600) {
-        let result = executor.run(std::hint::black_box(&spec));
-        evaluated += result.outcomes.len();
+        evaluated += run();
     }
     let elapsed = started.elapsed().as_secs_f64();
     let scenarios_per_sec = evaluated as f64 / elapsed;

@@ -70,16 +70,16 @@ fn slice_acceptance(
 fn main() {
     let workspace = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
 
-    // The exhaustive reference: every grid point, buffered, folded into the
-    // same aggregates the sweep outputs use.
+    // The exhaustive reference: every grid point, folded into the same
+    // aggregates the sweep outputs use.
     let exhaustive_spec = gate_spec(ExploreMode::Exhaustive);
     let exhaustive_evals = ScenarioGrid::expand(&exhaustive_spec).len();
-    let result = Executor::with_threads(2).run(&exhaustive_spec);
-    let mut acc = SweepAccumulator::new();
-    for outcome in &result.outcomes {
-        acc.record(outcome);
-    }
-    let reference_rows = acc.rows();
+    let reference_rows = SweepSession::new(exhaustive_spec.clone())
+        .threads(2)
+        .run(&mut NullSink)
+        .expect("a NullSink never fails")
+        .partial
+        .rows();
 
     // The adaptive run — twice, because cheap repeat-run byte-identity here
     // catches nondeterminism before the longer CI jobs do.

@@ -90,9 +90,15 @@ fn bench_detection_sweep(c: &mut Criterion) {
     let mut group = c.benchmark_group("sim_kernel_detection_sweep");
     group.sample_size(10);
     let spec = detection_gate_spec();
-    let executor = Executor::with_threads(2);
     group.bench_function("48_scenarios", |b| {
-        b.iter(|| executor.run(std::hint::black_box(&spec)));
+        b.iter(|| {
+            let mut sink = VecSink::new();
+            SweepSession::new(std::hint::black_box(&spec).clone())
+                .threads(2)
+                .run(&mut sink)
+                .expect("a VecSink never fails");
+            sink.into_outcomes()
+        });
     });
     group.finish();
 }
@@ -142,12 +148,20 @@ fn bench_gate(_c: &mut Criterion) {
     let grid_size = ScenarioGrid::expand(&spec).len();
     let threads = 2usize;
     let obs = SweepObs::enabled();
-    let executor = Executor::with_threads(threads).with_observability(obs.clone());
-    let _ = executor.run(std::hint::black_box(&spec));
+    // Each repetition buffers its outcomes, as the gate always has.
+    let run = || {
+        SweepSession::new(std::hint::black_box(&spec).clone())
+            .threads(threads)
+            .observability(obs.clone())
+            .run(&mut VecSink::new())
+            .expect("a VecSink never fails")
+            .evaluated()
+    };
+    let _ = run();
     let mut evaluated = 0usize;
     let started = Instant::now();
     while started.elapsed() < Duration::from_millis(600) {
-        evaluated += executor.run(std::hint::black_box(&spec)).outcomes.len();
+        evaluated += run();
     }
     let detection_scenarios_per_sec = evaluated as f64 / started.elapsed().as_secs_f64();
 

@@ -192,9 +192,12 @@ impl std::error::Error for Fig1Error {}
 /// allocation error if either scheme cannot schedule the case study (does
 /// not happen for the built-in workload on 2–8 cores).
 pub fn run(config: &Fig1Config) -> Result<Fig1Result, Fig1Error> {
-    let result = Executor::parallel().run(&config.spec());
+    let mut sink = VecSink::new();
+    SweepSession::new(config.spec())
+        .run(&mut sink)
+        .expect("a VecSink never raises I/O errors");
     let mut summaries = Vec::new();
-    for outcome in &result.outcomes {
+    for outcome in sink.outcomes() {
         let Some(summary) = summarize(outcome) else {
             return Err(Fig1Error {
                 scheme: scheme_name(outcome.scenario.allocator),

@@ -149,8 +149,8 @@ impl OutcomeSink for PolicyCdfSink {
 #[must_use]
 pub fn run(config: &PeriodPolicyConfig) -> Vec<PolicyCdf> {
     let mut sink = PolicyCdfSink::default();
-    Executor::parallel()
-        .run_streaming(&config.spec(), &mut sink)
+    SweepSession::new(config.spec())
+        .run(&mut sink)
         .expect("an in-memory sink never raises I/O errors");
     PeriodPolicy::ALL
         .into_iter()

@@ -2,17 +2,17 @@
 //!
 //! Two views cover the paper's evaluation and most follow-on questions:
 //!
-//! * [`SweepAccumulator`] / [`aggregate`] — per `(cores, allocator, period
+//! * [`SweepAccumulator`] — per `(cores, allocator, period
 //!   policy, utilization)` group: acceptance ratio over the
 //!   Eq. (1)-feasible task sets, and mean / p50 / p99 of the cumulative
 //!   tightness over the scheduled ones;
-//! * [`PairedSink`] / [`paired_comparison`] — joins two allocators' outcomes
+//! * [`PairedSink`] — joins two allocators' outcomes
 //!   on the shared problem instance (same seed-stream address, same period
 //!   policy) and reports the tightness gap over the task sets **both**
 //!   schemes scheduled, which is exactly the Figure 3 metric.
 //!
 //! Both are **online**: they fold outcomes one at a time, so the streaming
-//! executor never has to retain the full outcome vector. The executor keeps
+//! engine never has to retain the full outcome vector. The engine keeps
 //! one [`SweepAccumulator`] per worker and merges the partials at the end
 //! (built on [`AcceptanceCounter::merge`]); results are independent of the
 //! fold order because every finalization step sorts before summing. Per
@@ -294,22 +294,6 @@ impl SweepAccumulator {
     }
 }
 
-/// Groups outcomes by `(cores, allocator, utilization)` and summarises each
-/// group — the buffered convenience wrapper over [`SweepAccumulator`].
-#[deprecated(
-    since = "0.1.0",
-    note = "stream into a `SweepAccumulator` (or read `StreamSummary::partial`) instead of \
-            buffering the whole sweep; this shim will be removed next release"
-)]
-#[must_use]
-pub fn aggregate(outcomes: &[ScenarioOutcome]) -> Vec<AggregateRow> {
-    let mut acc = SweepAccumulator::new();
-    for outcome in outcomes {
-        acc.record(outcome);
-    }
-    acc.rows()
-}
-
 /// One point of a paired two-scheme comparison.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PairedPoint {
@@ -459,42 +443,37 @@ impl OutcomeSink for PairedSink {
     }
 }
 
-/// Joins the outcomes of allocators `a` and `b` on their shared problem
-/// instances — the buffered convenience wrapper over [`PairedSink`].
-///
-/// With `a = Hydra` and `b = Optimal` this is the Figure 3 series.
-#[deprecated(
-    since = "0.1.0",
-    note = "stream into a `PairedSink` instead of buffering the whole sweep; this shim will \
-            be removed next release"
-)]
-#[must_use]
-pub fn paired_comparison(
-    outcomes: &[ScenarioOutcome],
-    a: AllocatorKind,
-    b: AllocatorKind,
-) -> Vec<PairedPoint> {
-    let mut sink = PairedSink::new(a, b);
-    for outcome in outcomes {
-        sink.fold(outcome);
-    }
-    sink.into_points()
-}
-
 #[cfg(test)]
-#[allow(deprecated)] // the buffered shims stay covered until their removal
 mod tests {
     use super::*;
-    use crate::exec::Executor;
+    use crate::api::SweepSession;
     use crate::spec::{ScenarioSpec, UtilizationGrid};
+    use crate::testutil::{aggregate, run};
 
-    fn sweep() -> Vec<ScenarioOutcome> {
+    /// Folds buffered outcomes through a [`PairedSink`].
+    fn paired_comparison(
+        outcomes: &[ScenarioOutcome],
+        a: AllocatorKind,
+        b: AllocatorKind,
+    ) -> Vec<PairedPoint> {
+        let mut sink = PairedSink::new(a, b);
+        for outcome in outcomes {
+            sink.fold(outcome);
+        }
+        sink.into_points()
+    }
+
+    fn sweep_spec() -> ScenarioSpec {
         let mut spec = ScenarioSpec::synthetic("agg-test");
         spec.cores = vec![2];
         spec.utilizations = UtilizationGrid::Fractions(vec![0.15, 0.4]);
         spec.allocators = vec![AllocatorKind::Hydra, AllocatorKind::SingleCore];
         spec.trials = 4;
-        Executor::serial().run(&spec).outcomes
+        spec
+    }
+
+    fn sweep() -> Vec<ScenarioOutcome> {
+        run(&sweep_spec(), 1)
     }
 
     #[test]
@@ -598,9 +577,10 @@ mod tests {
     fn paired_sink_streams_to_the_same_series() {
         let outcomes = sweep();
         let mut sink = PairedSink::new(AllocatorKind::Hydra, AllocatorKind::SingleCore);
-        for outcome in &outcomes {
-            sink.record(outcome).unwrap();
-        }
+        SweepSession::new(sweep_spec())
+            .threads(2)
+            .run(&mut sink)
+            .unwrap();
         // Grid order pairs the two schemes back to back, so no join state
         // lingers once the stream ends.
         assert!(sink.pending.is_empty());
@@ -619,7 +599,7 @@ mod tests {
         spec.allocators = vec![AllocatorKind::Hydra, AllocatorKind::SingleCore];
         spec.period_policies = vec![PeriodPolicy::Fixed, PeriodPolicy::Joint];
         spec.trials = 3;
-        let outcomes = Executor::serial().run(&spec).outcomes;
+        let outcomes = run(&spec, 1);
         // 1 core count × 2 allocators × 2 policies × 1 utilization point.
         let rows = aggregate(&outcomes);
         assert_eq!(rows.len(), 4);

@@ -43,9 +43,10 @@ use std::sync::Arc;
 
 use rt_core::batch::BatchMode;
 
-use crate::exec::{Executor, StreamSummary, SweepResult};
+use crate::exec::{self, StreamSummary};
 use crate::grid::ScenarioGrid;
-use crate::obs::SweepObs;
+use crate::memo::MemoCache;
+use crate::obs::{SweepObs, ENGINE_TRACK};
 use crate::sink::OutcomeSink;
 use crate::spec::ScenarioSpec;
 use crate::store::MemoStore;
@@ -87,8 +88,7 @@ struct HandleState {
 
 /// A cloneable remote control for one running sweep: cooperative
 /// cancellation plus a lock-free progress snapshot. Obtained from
-/// [`SweepSession::handle`] (or constructed standalone and attached via
-/// [`Executor::with_handle`]). One handle should observe one run.
+/// [`SweepSession::handle`]. One handle should observe one run.
 #[derive(Debug, Clone, Default)]
 pub struct SweepHandle {
     inner: Arc<HandleState>,
@@ -180,7 +180,8 @@ impl SweepSession {
     }
 
     /// Worker-thread count (`0` = machine parallelism, the default; `1` =
-    /// the serial reference path). Outputs are byte-identical regardless.
+    /// evaluate on the calling thread). Outputs are byte-identical
+    /// regardless.
     #[must_use]
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads;
@@ -204,8 +205,10 @@ impl SweepSession {
     }
 
     /// Backs the run with a persistent [`MemoStore`] shared across runs and
-    /// processes. Statistics and output bytes are unaffected; repeat work is
-    /// answered from disk (see [`crate::memo::MemoCache::backed_by`]).
+    /// processes: the run's memo consults the store on every in-memory miss
+    /// and writes fresh values back. Statistics (bar the `store_*`
+    /// counters) and output bytes are unaffected; repeat work is answered
+    /// from disk.
     #[must_use]
     pub fn memo_store(mut self, store: Arc<MemoStore>) -> Self {
         self.store = Some(store);
@@ -249,34 +252,19 @@ impl SweepSession {
     ///
     /// Propagates the first sink I/O error (the sweep aborts early).
     pub fn run(self, sink: &mut dyn OutcomeSink) -> std::io::Result<StreamSummary> {
-        let mut executor = Executor::with_threads(self.threads)
-            .with_batch_mode(self.batch)
-            .with_observability(self.obs)
-            .with_handle(self.handle);
-        if let Some(store) = self.store {
-            executor = executor.with_store(store);
-        }
-        match self.range {
-            Some(range) => executor.run_streaming_range(&self.spec, range, sink),
-            None => executor.run_streaming(&self.spec, sink),
-        }
+        let scenarios = ScenarioGrid::expand(&self.spec).into_scenarios();
+        let range = self.range.clone().unwrap_or(0..usize::MAX);
+        exec::stream(&self, &scenarios, range, None, sink)
     }
 
-    /// Runs the sweep, buffering every outcome in grid order (a
-    /// [`crate::VecSink`] under the hood). Memory scales with the grid;
-    /// prefer [`SweepSession::run`] for large sweeps.
-    #[must_use]
-    pub fn run_buffered(self) -> SweepResult {
-        let mut sink = crate::sink::VecSink::new();
-        let summary = self
-            .run(&mut sink)
-            .expect("a VecSink never raises I/O errors");
-        SweepResult {
-            name: summary.name,
-            outcomes: sink.into_outcomes(),
-            memo: summary.memo,
-            elapsed: summary.elapsed,
-            threads: summary.threads,
+    /// A fresh memo cache for this session: hit/miss counters mirrored onto
+    /// the engine track of the registry (inert when observability is off),
+    /// backed by the persistent store when one is configured.
+    pub(crate) fn memo_cache(&self) -> MemoCache {
+        let memo = MemoCache::with_observability(&self.obs.registry().shard(ENGINE_TRACK));
+        match &self.store {
+            Some(store) => memo.backed_by(Arc::clone(store)),
+            None => memo,
         }
     }
 }
@@ -286,6 +274,7 @@ mod tests {
     use super::*;
     use crate::sink::VecSink;
     use crate::spec::UtilizationGrid;
+    use crate::testutil::run;
 
     fn tiny_spec() -> ScenarioSpec {
         let mut spec = ScenarioSpec::synthetic("api-test");
@@ -293,20 +282,6 @@ mod tests {
         spec.utilizations = UtilizationGrid::Fractions(vec![0.3, 0.7]);
         spec.trials = 2;
         spec
-    }
-
-    #[test]
-    fn session_matches_the_executor_byte_for_byte() {
-        let spec = tiny_spec();
-        let expected = Executor::serial().run(&spec);
-        let mut sink = VecSink::new();
-        let summary = SweepSession::new(spec)
-            .threads(1)
-            .run(&mut sink)
-            .expect("VecSink is infallible");
-        assert!(!summary.cancelled);
-        assert_eq!(summary.evaluated(), expected.outcomes.len());
-        assert_eq!(sink.outcomes(), &expected.outcomes[..]);
     }
 
     #[test]
@@ -345,7 +320,7 @@ mod tests {
     #[test]
     fn ranged_session_matches_the_full_run_slice() {
         let spec = tiny_spec();
-        let full = Executor::serial().run(&spec);
+        let full = run(&spec, 1);
         let mut sink = VecSink::new();
         let summary = SweepSession::new(spec)
             .threads(1)
@@ -353,15 +328,6 @@ mod tests {
             .run(&mut sink)
             .expect("VecSink is infallible");
         assert_eq!(summary.range, 2..5);
-        assert_eq!(sink.outcomes(), &full.outcomes[2..5]);
-    }
-
-    #[test]
-    fn buffered_session_matches_the_buffered_executor() {
-        let spec = tiny_spec();
-        let via_executor = Executor::serial().run(&spec);
-        let via_session = SweepSession::new(spec).threads(1).run_buffered();
-        assert_eq!(via_session.outcomes, via_executor.outcomes);
-        assert_eq!(via_session.memo, via_executor.memo);
+        assert_eq!(sink.outcomes(), &full[2..5]);
     }
 }

@@ -10,8 +10,8 @@
 //! dse list-axes
 //! ```
 //!
-//! `sweep` expands the requested grid, evaluates it on the parallel
-//! executor, and **streams** each scenario record to deterministic JSONL /
+//! `sweep` expands the requested grid, evaluates it on the parallel sweep engine,
+//! and **streams** each scenario record to deterministic JSONL /
 //! CSV files under `--out` the moment it is ready — peak memory is bounded
 //! by the worker count and the reorder window, not the grid size. The
 //! aggregate summary is folded online and printed at the end. `--shard i/n`
@@ -77,7 +77,6 @@ SWEEP OPTIONS:
     --trials N            task sets per grid point          [default: 5]
     --seed S              base seed                         [default: 2018]
     --threads N           worker threads (0 = all cores)    [default: 0]
-    --serial              force single-threaded execution
     --no-batch            evaluate with the scalar analysis kernels instead
                           of the 8-lane batch kernels (outputs are
                           byte-identical either way; this flag exists for
@@ -412,7 +411,7 @@ impl OutcomeSink for CheckpointingSink {
         self.completed += 1;
         self.since_save += 1;
         // Each save re-renders the whole accumulated aggregate (it grows
-        // with progress) and fsyncs, inside the executor's drain — so the
+        // with progress) and fsyncs, inside the engine's drain — so the
         // interval stretches with coverage (≥ 1/8 of the records covered so
         // far) to keep total checkpoint I/O linear in the sweep instead of
         // quadratic, while small sweeps still save every `every` records.
@@ -434,8 +433,9 @@ impl OutcomeSink for CheckpointingSink {
 
 /// Opens an output file for appending at exactly `keep` bytes: anything a
 /// crashed run wrote past the last checkpoint (e.g. a torn JSONL line) is
-/// truncated away so the resumed stream continues byte-exactly.
-fn open_resumable(path: &Path, keep: u64) -> Result<fs::File, String> {
+/// truncated away so the resumed stream continues byte-exactly. A fresh
+/// run (`resuming` false, `keep` 0) truncates whatever an earlier run left.
+fn open_resumable(path: &Path, keep: u64, resuming: bool) -> Result<fs::File, String> {
     let mut file = fs::OpenOptions::new()
         .create(true)
         .truncate(false)
@@ -453,12 +453,17 @@ fn open_resumable(path: &Path, keep: u64) -> Result<fs::File, String> {
             path.display()
         ));
     }
-    if len > keep {
+    if len > keep && resuming {
         // A torn tail is expected after a crash, but it should never vanish
         // silently — say how much of the file the resume is discarding.
         eprintln!(
             "resume: dropping {} uncheckpointed byte(s) past offset {keep} of {}",
             len - keep,
+            path.display()
+        );
+    } else if len > keep {
+        eprintln!(
+            "overwriting {}: discarding {len} byte(s) from an earlier run",
             path.display()
         );
     }
@@ -569,11 +574,7 @@ fn run_sweep(args: &Args) -> Result<(), String> {
     } else {
         BatchMode::Batch
     };
-    let threads = if args.flag("--serial") {
-        1
-    } else {
-        args.parsed("--threads")?.unwrap_or(0)
-    };
+    let threads = args.parsed("--threads")?.unwrap_or(0);
     let store = match args.value_of("--store") {
         Some(dir) => Some(Arc::new(
             MemoStore::open(dir).map_err(|e| format!("cannot open memo store {dir}: {e}"))?,
@@ -683,12 +684,13 @@ fn run_sweep(args: &Args) -> Result<(), String> {
 
     let start = restored.as_ref().map_or(range.start, |c| c.completed);
     let end = stop_after.map_or(range.end, |k| range.end.min(start.saturating_add(k)));
+    let resuming = restored.is_some();
     let (jsonl_base, csv_base, agg) = match restored {
         Some(ckpt) => (ckpt.jsonl_bytes, ckpt.csv_bytes, ckpt.agg),
         None => (0, 0, SweepAccumulator::new()),
     };
-    let jsonl_file = open_resumable(&jsonl_path, jsonl_base)?;
-    let csv_file = open_resumable(&csv_path, csv_base)?;
+    let jsonl_file = open_resumable(&jsonl_path, jsonl_base, resuming)?;
+    let csv_file = open_resumable(&csv_path, csv_base, resuming)?;
 
     let mut sink = CheckpointingSink {
         jsonl: JsonlSink::new(BufWriter::new(jsonl_file)),

@@ -189,7 +189,8 @@ pub fn sweep_fingerprint(spec: &ScenarioSpec, shard: (usize, usize)) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::Executor;
+    use crate::api::SweepSession;
+    use crate::sink::NullSink;
     use crate::spec::{AllocatorKind, UtilizationGrid};
 
     fn small_spec() -> ScenarioSpec {
@@ -202,19 +203,18 @@ mod tests {
     }
 
     fn sample() -> Checkpoint {
-        let result = Executor::serial().run(&small_spec());
-        let mut agg = SweepAccumulator::new();
-        for outcome in &result.outcomes {
-            agg.record(outcome);
-        }
+        let summary = SweepSession::new(small_spec())
+            .threads(1)
+            .run(&mut NullSink)
+            .expect("a NullSink never fails");
         Checkpoint {
             fingerprint: sweep_fingerprint(&small_spec(), (1, 1)),
             start: 0,
-            completed: result.outcomes.len(),
+            completed: summary.evaluated(),
             plan_points: 0,
             jsonl_bytes: 123,
             csv_bytes: 456,
-            agg,
+            agg: summary.partial,
         }
     }
 

@@ -1,20 +1,22 @@
-//! Scenario evaluation and the parallel streaming sweep executor.
+//! Scenario evaluation and the streaming sweep engine behind
+//! [`SweepSession`].
 //!
-//! The executor runs the expanded grid on a pool of scoped worker threads
-//! pulling scenario indices from a shared atomic cursor (self-balancing: a
-//! worker that lands on a cheap scenario immediately steals the next index,
-//! so stragglers never idle the pool). Every scenario derives its inputs
-//! from its own `(base_seed, stream)` address, which makes results
-//! independent of thread count, scheduling order and the memoization layer —
-//! the property the determinism tests pin down.
+//! A run evaluates a scenario list on `threads` workers pulling indices
+//! from a shared atomic cursor (self-balancing: a worker that lands on a
+//! cheap scenario immediately claims the next index, so stragglers never
+//! idle the pool). Every scenario derives its inputs from its own
+//! `(base_seed, stream)` address, which makes results independent of thread
+//! count, scheduling order and the memoization layer — the property the
+//! determinism tests pin down.
 //!
-//! Results **stream**: a reorder buffer restores grid order and feeds each
+//! Results **stream**: a reorder buffer restores list order and feeds each
 //! outcome to an [`OutcomeSink`] the moment its turn comes, while each worker
 //! folds its own outcomes into a partial [`SweepAccumulator`] merged at the
 //! end. Peak memory is therefore O(threads + reorder window) outcomes plus
 //! the aggregate state — not O(grid) — and a backpressure gate keeps a
 //! worker from racing more than one window ahead of the slowest scenario.
-//! [`Executor::run`] is the buffered compatibility wrapper (a [`VecSink`]).
+//! There is one worker body: a one-thread run executes it on the calling
+//! thread, a wider run spawns it on scoped threads.
 //!
 //! Because a scenario's address fully determines its result, any contiguous
 //! index range can be evaluated independently: [`shard_range`] splits a grid
@@ -33,6 +35,7 @@ use hydra_core::{Allocation, AllocationError, AllocationProblem};
 use rt_core::batch::{BatchDemandKernel, BatchMode, BatchStats, LANES};
 use rt_core::dbf::necessary_condition_default_horizon;
 use rt_core::Time;
+use rt_obs::Gauge;
 use rt_partition::partition_tasks_with_mode;
 use rt_sim::attack::{AttackScenario, InjectedAttack};
 use rt_sim::detection::OnlineDetector;
@@ -41,17 +44,15 @@ use rt_sim::workload::{simulation_tasks_into, SimTask, TaskKind};
 use taskgen::{derive_seed, generate_problem_seeded};
 
 use crate::agg::SweepAccumulator;
-use crate::api::SweepHandle;
-use crate::grid::ScenarioGrid;
+use crate::api::{SweepHandle, SweepSession};
 use crate::memo::{hash_taskset, AllocationKey, MemoCache, MemoStats, ProblemKey};
 use crate::obs::{
     SweepObs, WorkerObs, ENGINE_TRACK, PHASE_ALLOCATE, PHASE_GENERATE, PHASE_PARTITION,
     PHASE_PERIOD_POLICY, PHASE_SIMULATE, PHASE_SINK,
 };
 use crate::scenario::{DetectionStats, Scenario, ScenarioOutcome};
-use crate::sink::{OutcomeSink, VecSink};
+use crate::sink::OutcomeSink;
 use crate::spec::{AllocatorKind, Evaluation, ScenarioSpec, Workload};
-use crate::store::MemoStore;
 
 /// Salt separating the attack-injection seed stream from the task-set
 /// generation stream at the same scenario address.
@@ -89,36 +90,7 @@ pub fn shard_range(grid_len: usize, index: usize, count: usize) -> Range<usize> 
     at(index - 1)..at(index)
 }
 
-/// The completed execution of one **buffered** sweep (see
-/// [`Executor::run`]). Memory scales with the grid; large sweeps should use
-/// [`Executor::run_streaming`] instead.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SweepResult {
-    /// Sweep name (copied from the spec).
-    pub name: String,
-    /// One outcome per scenario, in grid order — deterministic for a fixed
-    /// spec regardless of thread count.
-    pub outcomes: Vec<ScenarioOutcome>,
-    /// Memoization hit/miss counters.
-    pub memo: MemoStats,
-    /// Wall-clock execution time (excluded from serialized outputs so they
-    /// stay byte-deterministic).
-    pub elapsed: Duration,
-    /// Number of worker threads used.
-    pub threads: usize,
-}
-
-impl SweepResult {
-    /// Evaluated scenarios per wall-clock second, or `None` when the sweep
-    /// finished below timer resolution (never `inf`/NaN — non-finite numbers
-    /// must stay out of every report).
-    #[must_use]
-    pub fn scenarios_per_sec(&self) -> Option<f64> {
-        throughput(self.outcomes.len(), self.elapsed)
-    }
-}
-
-/// The completed execution of one **streaming** sweep range: everything a
+/// The completed execution of one streaming sweep range: everything a
 /// caller needs except the outcomes themselves, which went to the sink.
 #[derive(Debug)]
 pub struct StreamSummary {
@@ -132,7 +104,8 @@ pub struct StreamSummary {
     pub partial: SweepAccumulator,
     /// Memoization hit/miss counters.
     pub memo: MemoStats,
-    /// Wall-clock execution time.
+    /// Wall-clock execution time (excluded from serialized outputs so they
+    /// stay byte-deterministic).
     pub elapsed: Duration,
     /// Number of worker threads used.
     pub threads: usize,
@@ -150,35 +123,13 @@ impl StreamSummary {
     }
 
     /// Evaluated scenarios per wall-clock second, or `None` when the sweep
-    /// finished below timer resolution.
+    /// finished below timer resolution (never `inf`/NaN — non-finite numbers
+    /// must stay out of every report).
     #[must_use]
     pub fn scenarios_per_sec(&self) -> Option<f64> {
-        throughput(self.evaluated(), self.elapsed)
+        let secs = self.elapsed.as_secs_f64();
+        (secs > 0.0).then(|| self.evaluated() as f64 / secs)
     }
-}
-
-fn throughput(evaluated: usize, elapsed: Duration) -> Option<f64> {
-    let secs = elapsed.as_secs_f64();
-    (secs > 0.0).then(|| evaluated as f64 / secs)
-}
-
-/// Executes [`ScenarioSpec`]s over a worker pool.
-///
-/// Observability is off by default; [`Executor::with_observability`]
-/// attaches a [`SweepObs`] bundle. Instrumentation never changes what the
-/// sink sees: outputs are byte-identical with observability on or off.
-#[derive(Debug, Clone, Default)]
-pub struct Executor {
-    threads: usize,
-    obs: SweepObs,
-    batch: BatchMode,
-    store: Option<Arc<MemoStore>>,
-    handle: Option<SweepHandle>,
-    /// When set, every run borrows this cache instead of building a private
-    /// one — the frontier driver's probe rounds warm the same memo its
-    /// emission phase later reuses. [`StreamSummary::memo`] then reports the
-    /// cache's *cumulative* counters, not per-run deltas.
-    shared_memo: Option<Arc<MemoCache>>,
 }
 
 /// Per-worker reusable evaluation buffers. Each worker thread owns one
@@ -187,7 +138,7 @@ pub struct Executor {
 /// the attack schedule, running the event-driven simulation and folding the
 /// detection latencies — recycles these buffers instead of allocating.
 #[derive(Debug, Default)]
-pub struct EvalScratch {
+pub(crate) struct EvalScratch {
     /// The simulator workload (`SimTask` names reuse their `String`s).
     tasks: Vec<SimTask>,
     /// The injected attack schedule.
@@ -211,14 +162,6 @@ pub struct EvalScratch {
     prefetch_keys: Vec<ProblemKey>,
 }
 
-impl EvalScratch {
-    /// Creates an empty scratch.
-    #[must_use]
-    pub fn new() -> Self {
-        EvalScratch::default()
-    }
-}
-
 /// The in-order emission state shared by all workers: a reorder buffer over
 /// the out-of-order completions plus the sink it drains into.
 struct Drain<'s> {
@@ -226,431 +169,255 @@ struct Drain<'s> {
     next: usize,
     /// Completed outcomes waiting for their turn.
     pending: BTreeMap<usize, ScenarioOutcome>,
-    /// The grid-order consumer.
+    /// The list-order consumer.
     sink: &'s mut dyn OutcomeSink,
     /// First sink error; set once, aborts the sweep.
     error: Option<std::io::Error>,
 }
 
-impl Executor {
-    /// A single-threaded executor (the reference for determinism tests).
-    #[must_use]
-    pub fn serial() -> Self {
-        Executor {
-            threads: 1,
-            obs: SweepObs::disabled(),
-            batch: BatchMode::Batch,
-            store: None,
-            handle: None,
-            shared_memo: None,
+/// Everything the workers of one run share.
+struct Pool<'a, 's> {
+    spec: &'a ScenarioSpec,
+    slice: &'a [Scenario],
+    memo: &'a MemoCache,
+    batch: BatchMode,
+    obs: &'a SweepObs,
+    handle: &'a SweepHandle,
+    /// The reorder window: a worker stuck on the scenario the drain waits
+    /// for can stall at most `window` completed outcomes behind it (plus
+    /// one in flight per worker).
+    window: usize,
+    cursor: AtomicUsize,
+    drain: Mutex<Drain<'s>>,
+    turnstile: Condvar,
+    /// The reorder-buffer depth is a property of the shared drain, not of
+    /// any worker, so every worker writes the same engine-track gauge
+    /// (always under the drain lock — no torn updates).
+    reorder_depth: Gauge,
+}
+
+/// The worker count a run of `work_items` scenarios uses: `requested`
+/// (`0` = machine parallelism), clamped to `1..=work_items`.
+fn resolve_threads(requested: usize, work_items: usize) -> usize {
+    let requested = if requested == 0 {
+        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+    } else {
+        requested
+    };
+    requested.clamp(1, work_items.max(1))
+}
+
+/// Runs `scenarios[range]` (clamped to the list; an inverted or
+/// out-of-list range clamps to empty) under `session`'s threads, kernel
+/// mode, observability, store and handle, streaming outcomes to `sink` in
+/// list order. The session's own range is not consulted — callers pass the
+/// range they mean. Each [`Scenario::index`] must equal its list position.
+///
+/// `shared_memo` lets a caller (the frontier driver) keep one cache across
+/// several runs so earlier runs warm the entries later ones read;
+/// [`StreamSummary::memo`] then reports its cumulative counters. Without
+/// it the run builds a private cache, backed by the session's store.
+///
+/// # Errors
+///
+/// Propagates the first sink I/O error (the sweep aborts early).
+pub(crate) fn stream(
+    session: &SweepSession,
+    scenarios: &[Scenario],
+    range: Range<usize>,
+    shared_memo: Option<&MemoCache>,
+    sink: &mut dyn OutcomeSink,
+) -> std::io::Result<StreamSummary> {
+    let grid_len = scenarios.len();
+    let end = range.end.min(grid_len);
+    let range = range.start.min(end)..end;
+    let slice = &scenarios[range.clone()];
+    let threads = resolve_threads(session.threads, slice.len());
+    let owned;
+    let memo = match shared_memo {
+        Some(shared) => shared,
+        None => {
+            owned = session.memo_cache();
+            &owned
         }
-    }
+    };
+    let handle = &session.handle;
+    handle.arm(slice.len());
+    // lint-ok(D002): elapsed feeds only StreamSummary.elapsed (stderr
+    // reporting) — the determinism tests pin that no outcome byte sees it.
+    #[allow(clippy::disallowed_methods)]
+    let started = Instant::now();
 
-    /// An executor sized to the machine's available parallelism.
-    #[must_use]
-    pub fn parallel() -> Self {
-        Executor {
-            threads: 0,
-            ..Executor::serial()
-        }
-    }
-
-    /// An executor with an explicit worker count (`0` = auto).
-    #[must_use]
-    pub fn with_threads(threads: usize) -> Self {
-        Executor {
-            threads,
-            ..Executor::serial()
-        }
-    }
-
-    /// Selects the analysis-kernel mode: [`BatchMode::Batch`] (the default)
-    /// routes the hot partition-admission RTA, Eq. (1) feasibility and
-    /// joint-refinement math through the lane-batched SoA kernels;
-    /// [`BatchMode::Scalar`] forces the reference scalar implementations
-    /// everywhere. Outputs are byte-identical either way (the determinism
-    /// tests prove it); the switch exists for differential testing and the
-    /// `dse --no-batch` CLI flag.
-    #[must_use]
-    pub fn with_batch_mode(mut self, batch: BatchMode) -> Self {
-        self.batch = batch;
-        self
-    }
-
-    /// Attaches an observability bundle: metric/span recording flows into
-    /// `obs` during every subsequent run. A disabled bundle (the default)
-    /// keeps every instrumentation site a no-op.
-    #[must_use]
-    pub fn with_observability(mut self, obs: SweepObs) -> Self {
-        self.obs = obs;
-        self
-    }
-
-    /// Backs every run's [`MemoCache`] with a persistent [`MemoStore`]:
-    /// values computed by any past run sharing the store are read instead of
-    /// recomputed, and fresh values are written back. Sweep statistics and
-    /// output bytes are unaffected (see [`MemoCache::backed_by`]).
-    #[must_use]
-    pub fn with_store(mut self, store: Arc<MemoStore>) -> Self {
-        self.store = Some(store);
-        self
-    }
-
-    /// Attaches a [`SweepHandle`] for cooperative cancellation and progress
-    /// snapshots. The handle is armed per run (one handle should observe one
-    /// run); a cancelled run stops promptly after in-flight scenarios,
-    /// finishes the sink, and reports [`StreamSummary::cancelled`].
-    #[must_use]
-    pub fn with_handle(mut self, handle: SweepHandle) -> Self {
-        self.handle = Some(handle);
-        self
-    }
-
-    /// Shares one externally built [`MemoCache`] across every subsequent run
-    /// of this executor instead of creating a fresh cache per run. The
-    /// frontier driver uses this so its bisection probes warm the exact memo
-    /// the emission phase then reads. Takes precedence over
-    /// [`Executor::with_store`] (back the shared cache itself instead).
-    /// [`StreamSummary::memo`] reports the cache's cumulative counters.
-    #[must_use]
-    pub(crate) fn with_shared_memo(mut self, memo: Arc<MemoCache>) -> Self {
-        self.shared_memo = Some(memo);
-        self
-    }
-
-    fn resolve_threads(&self, work_items: usize) -> usize {
-        let auto = std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1);
-        let requested = if self.threads == 0 {
-            auto
-        } else {
-            self.threads
-        };
-        requested.clamp(1, work_items.max(1))
-    }
-
-    /// Runs the sweep described by `spec`, buffering every outcome in grid
-    /// order. Memory scales with the grid — the streaming entry points keep
-    /// it bounded instead.
-    #[must_use]
-    pub fn run(&self, spec: &ScenarioSpec) -> SweepResult {
-        let mut sink = VecSink::new();
-        let summary = self
-            .run_streaming(spec, &mut sink)
-            .expect("a VecSink never raises I/O errors");
-        SweepResult {
-            name: summary.name,
-            outcomes: sink.into_outcomes(),
-            memo: summary.memo,
-            elapsed: summary.elapsed,
-            threads: summary.threads,
-        }
-    }
-
-    /// Runs the whole sweep, streaming outcomes to `sink` in grid order.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first sink I/O error (the sweep aborts early).
-    pub fn run_streaming(
-        &self,
-        spec: &ScenarioSpec,
-        sink: &mut dyn OutcomeSink,
-    ) -> std::io::Result<StreamSummary> {
-        self.run_streaming_range(spec, 0..usize::MAX, sink)
-    }
-
-    /// Runs the scenarios whose grid indices fall in `range` (clamped to the
-    /// grid; an inverted or out-of-grid range clamps to empty), streaming
-    /// outcomes to `sink` in grid order. Sharded and resumed sweeps are
-    /// range runs: because every scenario derives its inputs from its own
-    /// seed address, concatenating the streams of consecutive ranges is
-    /// byte-identical to one full run.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first sink I/O error (the sweep aborts early).
-    pub fn run_streaming_range(
-        &self,
-        spec: &ScenarioSpec,
-        range: Range<usize>,
-        sink: &mut dyn OutcomeSink,
-    ) -> std::io::Result<StreamSummary> {
-        let scenarios = ScenarioGrid::expand(spec).into_scenarios();
-        self.run_scenario_list(spec, &scenarios, range, sink)
-    }
-
-    /// Runs an explicit scenario list — the streaming core every public
-    /// entry point (and the frontier driver, which authors its own lists)
-    /// funnels through. Each [`Scenario::index`] must equal its list
-    /// position, or the reorder buffer and sink indices disagree.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first sink I/O error (the sweep aborts early).
-    pub(crate) fn run_scenario_list(
-        &self,
-        spec: &ScenarioSpec,
-        scenarios: &[Scenario],
-        range: Range<usize>,
-        sink: &mut dyn OutcomeSink,
-    ) -> std::io::Result<StreamSummary> {
-        let grid_len = scenarios.len();
-        let end = range.end.min(grid_len);
-        let range = range.start.min(end)..end;
-        let slice = &scenarios[range.clone()];
-        let threads = self.resolve_threads(slice.len());
-        // The memo's hit/miss counters mirror onto the engine track of the
-        // registry (inert when observability is off). A shared cache (the
-        // frontier driver's) is borrowed as-is; otherwise the run builds a
-        // private one, backed by the persistent store when configured.
-        let owned;
-        let memo: &MemoCache = match &self.shared_memo {
-            Some(shared) => shared.as_ref(),
-            None => {
-                let mut built =
-                    MemoCache::with_observability(&self.obs.registry().shard(ENGINE_TRACK));
-                if let Some(store) = &self.store {
-                    built = built.backed_by(Arc::clone(store));
-                }
-                owned = built;
-                &owned
-            }
-        };
-        if let Some(handle) = &self.handle {
-            handle.arm(slice.len());
-        }
-        // lint-ok(D002): elapsed feeds only StreamSummary.elapsed (stderr
-        // reporting) — the determinism tests pin that no outcome byte sees it.
-        #[allow(clippy::disallowed_methods)]
-        let started = Instant::now();
-
-        let partial = if threads <= 1 {
-            let wobs = self.obs.worker(0);
-            let mut acc = SweepAccumulator::new();
-            let mut scratch = EvalScratch::new();
-            for (i, scenario) in slice.iter().enumerate() {
-                if self.handle.as_ref().is_some_and(SweepHandle::is_cancelled) {
-                    break;
-                }
-                // lint-ok(D002): metrics-gated timing feeds the rt-obs
-                // histogram only; obs-on/off byte-identity is pinned in CI.
-                #[allow(clippy::disallowed_methods)]
-                let timed = wobs.metrics_enabled().then(Instant::now);
-                let lookahead = &slice[i + 1..slice.len().min(i + 1 + PREFETCH_WINDOW)];
-                let outcome = evaluate(
-                    spec,
-                    scenario,
-                    lookahead,
-                    memo,
-                    &mut scratch,
-                    &wobs,
-                    self.batch,
-                );
-                wobs.record_scenario(timed.map(|t| t.elapsed()));
-                acc.record(&outcome);
-                let span = wobs.tracer.span(PHASE_SINK);
-                let recorded = sink.record(&outcome);
-                drop(span);
-                recorded?;
-                if let Some(handle) = &self.handle {
-                    handle.set_done(i + 1);
-                }
-            }
-            sink.finish()?;
-            wobs.add_sim_stats(scratch.sim.stats());
-            acc
-        } else {
-            self.stream_parallel(spec, slice, threads, memo, sink)?
-        };
-
-        // A cancelled run delivered a prefix of the range: shrink it so
-        // `evaluated()` keeps meaning "outcomes the sink saw". (The partial
-        // aggregate of a cancelled parallel run may additionally cover
-        // completed-but-undrained outcomes; cancellation is a shutdown path,
-        // not a byte-deterministic one.)
-        let cancelled = self.handle.as_ref().is_some_and(SweepHandle::is_cancelled);
-        let range = if cancelled {
-            let emitted = self.handle.as_ref().map_or(0, |h| h.progress().done);
-            range.start..(range.start + emitted)
-        } else {
-            range
-        };
-
-        Ok(StreamSummary {
-            name: spec.name.clone(),
-            grid_len,
-            range,
-            partial,
-            memo: memo.stats(),
-            elapsed: started.elapsed(),
-            threads,
-            cancelled,
-        })
-    }
-
-    /// The parallel path: workers race an atomic cursor, a reorder buffer
-    /// drains completions to the sink in grid order, and a backpressure gate
-    /// caps how far any worker may run ahead of the drain.
-    fn stream_parallel(
-        &self,
-        spec: &ScenarioSpec,
-        slice: &[Scenario],
-        threads: usize,
-        memo: &MemoCache,
-        sink: &mut dyn OutcomeSink,
-    ) -> std::io::Result<SweepAccumulator> {
-        // The reorder window bounds pending outcomes: a worker stuck on the
-        // scenario the drain waits for can stall at most `window` completed
-        // outcomes behind it (plus one in flight per worker).
-        let window = (threads * 32).clamp(64, 1024);
-        let cursor = AtomicUsize::new(0);
-        let drain = Mutex::new(Drain {
+    let pool = Pool {
+        spec: &session.spec,
+        slice,
+        memo,
+        batch: session.batch,
+        obs: &session.obs,
+        handle,
+        window: (threads * 32).clamp(64, 1024),
+        cursor: AtomicUsize::new(0),
+        drain: Mutex::new(Drain {
             next: 0,
             pending: BTreeMap::new(),
             sink,
             error: None,
-        });
-        let turnstile = Condvar::new();
-        let master: Mutex<SweepAccumulator> = Mutex::new(SweepAccumulator::new());
-        // The reorder-buffer depth is a property of the shared drain, not of
-        // any worker, so every worker writes the same engine-track gauge
-        // (always under the drain lock — no torn updates).
-        let reorder_depth = self
+        }),
+        turnstile: Condvar::new(),
+        reorder_depth: session
             .obs
             .registry()
             .shard(ENGINE_TRACK)
-            .gauge("drain.reorder_depth");
-
+            .gauge("drain.reorder_depth"),
+    };
+    let partial = if threads == 1 {
+        pool.work(0)
+    } else {
         std::thread::scope(|scope| {
-            let cursor = &cursor;
-            let drain = &drain;
-            let turnstile = &turnstile;
-            let master = &master;
-            let handle = self.handle.as_ref();
-            for worker_index in 0..threads {
-                let wobs = self.obs.worker(worker_index);
-                let reorder_depth = reorder_depth.clone();
-                scope.spawn(move || {
-                    let mut local = SweepAccumulator::new();
-                    let mut scratch = EvalScratch::new();
-                    loop {
-                        if handle.is_some_and(|h| h.is_cancelled()) {
-                            break;
-                        }
-                        // relaxed-ok: the fetch_add's RMW atomicity alone
-                        // guarantees unique indices; no data rides on this
-                        // atomic — outcome handoff synchronizes through the
-                        // `drain` mutex below, scenario inputs are immutable.
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= slice.len() {
-                            break;
-                        }
-                        // Backpressure: wait until the drain is within one
-                        // window of this index. The worker holding the
-                        // drain's next index never waits, so progress is
-                        // guaranteed. With a cancellable handle the wait is
-                        // periodically re-armed so a cancel delivered while
-                        // every worker sleeps still terminates the pool.
-                        {
-                            let mut state = drain.lock().expect("drain poisoned");
-                            if state.error.is_none() && i >= state.next + window {
-                                // lint-ok(D002): metrics-gated backpressure
-                                // timing, rt-obs counters only.
-                                #[allow(clippy::disallowed_methods)]
-                                let waited = wobs.metrics_enabled().then(Instant::now);
-                                while state.error.is_none() && i >= state.next + window {
-                                    if let Some(h) = handle {
-                                        if h.is_cancelled() {
-                                            break;
-                                        }
-                                        state = turnstile
-                                            .wait_timeout(state, Duration::from_millis(25))
-                                            .expect("drain poisoned")
-                                            .0;
-                                    } else {
-                                        state = turnstile.wait(state).expect("drain poisoned");
-                                    }
-                                }
-                                if let Some(t0) = waited {
-                                    wobs.backpressure_waits.inc();
-                                    wobs.backpressure_wait_ns.add(
-                                        u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX),
-                                    );
-                                }
-                            }
-                            if state.error.is_some() || handle.is_some_and(|h| h.is_cancelled()) {
-                                break;
-                            }
-                        }
-                        // lint-ok(D002): metrics-gated timing feeds the
-                        // rt-obs histogram only; obs-on/off byte-identity is
-                        // pinned in CI.
-                        #[allow(clippy::disallowed_methods)]
-                        let timed = wobs.metrics_enabled().then(Instant::now);
-                        let lookahead = &slice[i + 1..slice.len().min(i + 1 + PREFETCH_WINDOW)];
-                        let outcome = evaluate(
-                            spec,
-                            &slice[i],
-                            lookahead,
-                            memo,
-                            &mut scratch,
-                            &wobs,
-                            self.batch,
-                        );
-                        wobs.record_scenario(timed.map(|t| t.elapsed()));
-                        local.record(&outcome);
-                        let mut state = drain.lock().expect("drain poisoned");
-                        state.pending.insert(i, outcome);
-                        let mut advanced = false;
-                        loop {
-                            let turn = state.next;
-                            let Some(ready) = state.pending.remove(&turn) else {
-                                break;
-                            };
-                            let span = wobs.tracer.span(PHASE_SINK);
-                            let recorded = state.sink.record(&ready);
-                            drop(span);
-                            if let Err(error) = recorded {
-                                state.error = Some(error);
-                                break;
-                            }
-                            state.next += 1;
-                            advanced = true;
-                        }
-                        if let Some(h) = handle {
-                            h.set_done(state.next);
-                        }
-                        reorder_depth.set(state.pending.len() as i64);
-                        if advanced || state.error.is_some() {
-                            drop(state);
-                            turnstile.notify_all();
-                        }
-                    }
-                    wobs.add_sim_stats(scratch.sim.stats());
-                    master
-                        .lock()
-                        .expect("partial-aggregate collector poisoned")
-                        .merge(local);
-                });
+            let pool = &pool;
+            let workers: Vec<_> = (0..threads)
+                .map(|index| scope.spawn(move || pool.work(index)))
+                .collect();
+            let mut merged = SweepAccumulator::new();
+            for worker in workers {
+                merged.merge(
+                    worker
+                        .join()
+                        .unwrap_or_else(|panic| std::panic::resume_unwind(panic)),
+                );
             }
-        });
+            merged
+        })
+    };
 
-        let state = drain.into_inner().expect("drain poisoned");
-        if let Some(error) = state.error {
-            return Err(error);
+    let state = pool.drain.into_inner().expect("drain poisoned");
+    if let Some(error) = state.error {
+        return Err(error);
+    }
+    // A cancelled run delivered a prefix of the range: shrink it so
+    // `evaluated()` keeps meaning "outcomes the sink saw". (The partial
+    // aggregate of a cancelled multi-thread run may additionally cover
+    // completed-but-undrained outcomes; cancellation is a shutdown path,
+    // not a byte-deterministic one.)
+    let cancelled = handle.is_cancelled();
+    if !cancelled {
+        debug_assert_eq!(state.next, slice.len());
+        debug_assert!(state.pending.is_empty());
+    }
+    state.sink.finish()?;
+    let range = if cancelled {
+        range.start..(range.start + handle.progress().done)
+    } else {
+        range
+    };
+
+    Ok(StreamSummary {
+        name: session.spec.name.clone(),
+        grid_len,
+        range,
+        partial,
+        memo: memo.stats(),
+        elapsed: started.elapsed(),
+        threads,
+        cancelled,
+    })
+}
+
+impl Pool<'_, '_> {
+    /// The worker body: claim the next index, wait while it is more than a
+    /// window ahead of the drain, evaluate, then drain every outcome whose
+    /// turn has come. Returns the worker's partial aggregate.
+    fn work(&self, worker_index: usize) -> SweepAccumulator {
+        let wobs = self.obs.worker(worker_index);
+        let mut local = SweepAccumulator::new();
+        let mut scratch = EvalScratch::default();
+        loop {
+            if self.handle.is_cancelled() {
+                break;
+            }
+            // relaxed-ok: the fetch_add's RMW atomicity alone guarantees
+            // unique indices; no data rides on this atomic — outcome handoff
+            // synchronizes through the `drain` mutex below, scenario inputs
+            // are immutable.
+            let i = self.cursor.fetch_add(1, Ordering::Relaxed);
+            if i >= self.slice.len() {
+                break;
+            }
+            // Backpressure: wait until the drain is within one window of
+            // this index. The worker holding the drain's next index never
+            // waits, so progress is guaranteed; the wait re-arms
+            // periodically so a cancel delivered while every worker sleeps
+            // still terminates the pool.
+            {
+                let mut state = self.drain.lock().expect("drain poisoned");
+                if state.error.is_none() && i >= state.next + self.window {
+                    // lint-ok(D002): metrics-gated backpressure timing,
+                    // rt-obs counters only.
+                    #[allow(clippy::disallowed_methods)]
+                    let waited = wobs.metrics_enabled().then(Instant::now);
+                    while state.error.is_none()
+                        && i >= state.next + self.window
+                        && !self.handle.is_cancelled()
+                    {
+                        state = self
+                            .turnstile
+                            .wait_timeout(state, Duration::from_millis(25))
+                            .expect("drain poisoned")
+                            .0;
+                    }
+                    if let Some(t0) = waited {
+                        wobs.backpressure_waits.inc();
+                        wobs.backpressure_wait_ns
+                            .add(u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX));
+                    }
+                }
+                if state.error.is_some() || self.handle.is_cancelled() {
+                    break;
+                }
+            }
+            // lint-ok(D002): metrics-gated timing feeds the rt-obs histogram
+            // only; obs-on/off byte-identity is pinned in CI.
+            #[allow(clippy::disallowed_methods)]
+            let timed = wobs.metrics_enabled().then(Instant::now);
+            let lookahead = &self.slice[i + 1..self.slice.len().min(i + 1 + PREFETCH_WINDOW)];
+            let outcome = evaluate(
+                self.spec,
+                &self.slice[i],
+                lookahead,
+                self.memo,
+                &mut scratch,
+                &wobs,
+                self.batch,
+            );
+            wobs.record_scenario(timed.map(|t| t.elapsed()));
+            local.record(&outcome);
+            let mut state = self.drain.lock().expect("drain poisoned");
+            state.pending.insert(i, outcome);
+            let mut advanced = false;
+            loop {
+                let turn = state.next;
+                let Some(ready) = state.pending.remove(&turn) else {
+                    break;
+                };
+                let span = wobs.tracer.span(PHASE_SINK);
+                let recorded = state.sink.record(&ready);
+                drop(span);
+                if let Err(error) = recorded {
+                    state.error = Some(error);
+                    break;
+                }
+                state.next += 1;
+                advanced = true;
+            }
+            self.handle.set_done(state.next);
+            self.reorder_depth.set(state.pending.len() as i64);
+            if advanced || state.error.is_some() {
+                drop(state);
+                self.turnstile.notify_all();
+            }
         }
-        // A cancelled run legitimately leaves completed-but-undrained
-        // outcomes behind; only a clean finish must have drained everything.
-        if !self.handle.as_ref().is_some_and(SweepHandle::is_cancelled) {
-            debug_assert_eq!(state.next, slice.len());
-            debug_assert!(state.pending.is_empty());
-        }
-        state.sink.finish()?;
-        Ok(master
-            .into_inner()
-            .expect("partial-aggregate collector poisoned"))
+        wobs.add_sim_stats(scratch.sim.stats());
+        local
     }
 }
 
@@ -1135,11 +902,11 @@ fn measure_detection(
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // `aggregate` stays the buffered reference until removal
 mod tests {
     use super::*;
-    use crate::sink::{to_csv, to_jsonl, CsvSink, JsonlSink};
+    use crate::sink::{CsvSink, JsonlSink, VecSink};
     use crate::spec::{AllocatorKind, ScenarioSpec, UtilizationGrid};
+    use crate::testutil::{aggregate, run, run_session, to_csv, to_jsonl};
 
     fn tiny_spec() -> ScenarioSpec {
         let mut spec = ScenarioSpec::synthetic("tiny");
@@ -1153,22 +920,21 @@ mod tests {
     #[test]
     fn serial_and_parallel_agree_exactly() {
         let spec = tiny_spec();
-        let serial = Executor::serial().run(&spec);
-        let parallel = Executor::with_threads(4).run(&spec);
-        assert_eq!(serial.outcomes, parallel.outcomes);
-        assert_eq!(serial.outcomes.len(), 12);
+        let serial = run(&spec, 1);
+        let parallel = run(&spec, 4);
+        assert_eq!(serial, parallel);
+        assert_eq!(serial.len(), 12);
     }
 
     #[test]
     fn allocator_axis_shares_problem_instances() {
-        let spec = tiny_spec();
-        let result = Executor::serial().run(&spec);
+        let (outcomes, summary) = run_session(SweepSession::new(tiny_spec()).threads(1));
         // Problems are generated once per (cores, util, trial) point and
         // reused across both allocators.
-        assert_eq!(result.memo.problem_misses, 6);
-        assert_eq!(result.memo.problem_hits, 6);
+        assert_eq!(summary.memo.problem_misses, 6);
+        assert_eq!(summary.memo.problem_hits, 6);
         // Paired scenarios report identical problem shapes.
-        for pair in result.outcomes.chunks(2) {
+        for pair in outcomes.chunks(2) {
             assert_eq!(pair[0].n_rt, pair[1].n_rt);
             assert_eq!(pair[0].n_sec, pair[1].n_sec);
             assert_eq!(pair[0].total_utilization, pair[1].total_utilization);
@@ -1184,15 +950,14 @@ mod tests {
         // retired partition family".
         let mut spec = tiny_spec();
         spec.allocators = vec![AllocatorKind::Hydra, AllocatorKind::NpHydra];
-        let result = Executor::serial().run(&spec);
-        let feasible_problems = result
-            .outcomes
+        let (outcomes, summary) = run_session(SweepSession::new(spec).threads(1));
+        let feasible_problems = outcomes
             .iter()
             .filter(|o| o.feasible && o.scenario.allocator == AllocatorKind::Hydra)
             .count() as u64;
         assert!(feasible_problems > 0);
-        assert_eq!(result.memo.allocation_misses, 2 * feasible_problems);
-        assert_eq!(result.memo.allocation_hits, 0);
+        assert_eq!(summary.memo.allocation_misses, 2 * feasible_problems);
+        assert_eq!(summary.memo.allocation_hits, 0);
     }
 
     #[test]
@@ -1202,10 +967,9 @@ mod tests {
         // allocate() on every outcome (pinned indirectly: outcomes carry the
         // same schedulability as the pre-refactor engine's, which the
         // determinism tests diff at the byte level).
-        let spec = tiny_spec();
-        let result = Executor::serial().run(&spec);
+        let outcomes = run(&tiny_spec(), 1);
         let mut scheduled = 0usize;
-        for outcome in &result.outcomes {
+        for outcome in &outcomes {
             if outcome.scenario.allocator == AllocatorKind::SingleCore && outcome.schedulable {
                 assert!(outcome.cumulative_tightness.is_some());
                 scheduled += 1;
@@ -1231,20 +995,19 @@ mod tests {
             PeriodPolicy::Adapt,
             PeriodPolicy::Joint,
         ];
-        let result = Executor::serial().run(&spec);
-        assert_eq!(result.outcomes.len(), 18);
-        assert_eq!(result.memo.problem_misses, 6);
-        assert_eq!(result.memo.problem_hits, 12);
-        let feasible_problems = result
-            .outcomes
+        let (outcomes, summary) = run_session(SweepSession::new(spec).threads(1));
+        assert_eq!(outcomes.len(), 18);
+        assert_eq!(summary.memo.problem_misses, 6);
+        assert_eq!(summary.memo.problem_hits, 12);
+        let feasible_problems = outcomes
             .iter()
             .filter(|o| o.feasible && o.scenario.policy == PeriodPolicy::Fixed)
             .count() as u64;
         assert!(feasible_problems > 0);
         // The placement search itself runs once per (problem, scheme) and
         // the other two policies reuse it.
-        assert_eq!(result.memo.allocation_misses, feasible_problems);
-        assert_eq!(result.memo.allocation_hits, 2 * feasible_problems);
+        assert_eq!(summary.memo.allocation_misses, feasible_problems);
+        assert_eq!(summary.memo.allocation_hits, 2 * feasible_problems);
     }
 
     #[test]
@@ -1257,8 +1020,8 @@ mod tests {
             PeriodPolicy::Adapt,
             PeriodPolicy::Joint,
         ];
-        let result = Executor::serial().run(&spec);
-        for triple in result.outcomes.chunks(3) {
+        let outcomes = run(&spec, 1);
+        for triple in outcomes.chunks(3) {
             let [fixed, adapt, joint] = triple else {
                 panic!("policy triples must be adjacent in grid order");
             };
@@ -1311,8 +1074,8 @@ mod tests {
             PeriodPolicy::Adapt,
             PeriodPolicy::Joint,
         ];
-        let result = Executor::serial().run(&spec);
-        for triple in result.outcomes.chunks(3) {
+        let outcomes = run(&spec, 1);
+        for triple in outcomes.chunks(3) {
             for o in &triple[1..] {
                 assert_eq!(o.cumulative_tightness, triple[0].cumulative_tightness);
                 assert_eq!(o.mean_tightness, triple[0].mean_tightness);
@@ -1326,8 +1089,7 @@ mod tests {
     fn low_utilization_synthetic_scenarios_schedule() {
         let mut spec = tiny_spec();
         spec.utilizations = UtilizationGrid::Fractions(vec![0.1]);
-        let result = Executor::serial().run(&spec);
-        for outcome in &result.outcomes {
+        for outcome in &run(&spec, 1) {
             assert!(outcome.feasible);
             assert!(
                 outcome.schedulable,
@@ -1343,9 +1105,9 @@ mod tests {
     fn detection_scenarios_measure_latencies() {
         let mut spec = ScenarioSpec::uav_detection("uav", 30, 25);
         spec.cores = vec![2];
-        let result = Executor::with_threads(2).run(&spec);
-        assert_eq!(result.outcomes.len(), 2);
-        for outcome in &result.outcomes {
+        let outcomes = run(&spec, 2);
+        assert_eq!(outcomes.len(), 2);
+        for outcome in &outcomes {
             assert!(outcome.schedulable);
             let d = outcome.detection.as_ref().unwrap();
             assert_eq!(d.injected, 25);
@@ -1360,14 +1122,14 @@ mod tests {
     fn throughput_is_reported_and_always_finite() {
         let mut spec = tiny_spec();
         spec.trials = 1;
-        let result = Executor::serial().run(&spec);
-        assert!(result.scenarios_per_sec().unwrap() > 0.0);
-        assert_eq!(result.threads, 1);
+        let (_, summary) = run_session(SweepSession::new(spec).threads(1));
+        assert!(summary.scenarios_per_sec().unwrap() > 0.0);
+        assert_eq!(summary.threads, 1);
         // Regression: an elapsed time below timer resolution used to report
         // f64::INFINITY; it must surface as None instead.
-        let degenerate = SweepResult {
+        let degenerate = StreamSummary {
             elapsed: Duration::ZERO,
-            ..result
+            ..summary
         };
         assert_eq!(degenerate.scenarios_per_sec(), None);
     }
@@ -1375,29 +1137,24 @@ mod tests {
     #[test]
     fn streaming_matches_the_buffered_run_byte_for_byte() {
         let spec = tiny_spec();
-        let buffered = Executor::serial().run(&spec);
+        let buffered = run(&spec, 1);
         let mut jsonl = JsonlSink::new(Vec::new());
-        let summary = Executor::with_threads(4)
-            .run_streaming(&spec, &mut jsonl)
-            .unwrap();
-        assert_eq!(summary.grid_len, buffered.outcomes.len());
-        assert_eq!(summary.evaluated(), buffered.outcomes.len());
+        let summary = SweepSession::new(spec).threads(4).run(&mut jsonl).unwrap();
+        assert_eq!(summary.grid_len, buffered.len());
+        assert_eq!(summary.evaluated(), buffered.len());
         assert_eq!(
             String::from_utf8(jsonl.into_inner()).unwrap(),
-            to_jsonl(&buffered.outcomes)
+            to_jsonl(&buffered)
         );
         // The merged per-worker partials equal the buffered aggregation.
-        assert_eq!(
-            summary.partial.rows(),
-            crate::agg::aggregate(&buffered.outcomes)
-        );
+        assert_eq!(summary.partial.rows(), aggregate(&buffered));
     }
 
     #[test]
     fn shard_ranges_tile_the_grid_and_concatenate_exactly() {
         let spec = tiny_spec();
-        let full = Executor::serial().run(&spec);
-        let n = full.outcomes.len();
+        let full = run(&spec, 1);
+        let n = full.len();
         for count in [1usize, 2, 3, 5] {
             // The ranges tile [0, n) without gaps or overlap.
             let mut covered = 0;
@@ -1409,12 +1166,16 @@ mod tests {
                 covered = range.end;
                 let mut jsonl = JsonlSink::new(Vec::new());
                 let mut csv = CsvSink::new(Vec::new(), index == 1);
-                let summary = Executor::with_threads(2)
-                    .run_streaming_range(&spec, range.clone(), &mut jsonl)
+                let summary = SweepSession::new(spec.clone())
+                    .threads(2)
+                    .range(range.clone())
+                    .run(&mut jsonl)
                     .unwrap();
                 assert_eq!(summary.range, range);
-                Executor::serial()
-                    .run_streaming_range(&spec, range, &mut csv)
+                SweepSession::new(spec.clone())
+                    .threads(1)
+                    .range(range)
+                    .run(&mut csv)
                     .unwrap();
                 jsonl_parts.extend(jsonl.into_inner());
                 csv_parts.extend(csv.into_inner());
@@ -1422,12 +1183,12 @@ mod tests {
             assert_eq!(covered, n);
             assert_eq!(
                 String::from_utf8(jsonl_parts).unwrap(),
-                to_jsonl(&full.outcomes),
+                to_jsonl(&full),
                 "{count} JSONL shards"
             );
             assert_eq!(
                 String::from_utf8(csv_parts).unwrap(),
-                to_csv(&full.outcomes),
+                to_csv(&full),
                 "{count} CSV shards"
             );
         }
@@ -1445,10 +1206,10 @@ mod tests {
                 Ok(())
             }
         }
-        let spec = tiny_spec();
-        for executor in [Executor::serial(), Executor::with_threads(3)] {
-            let err = executor
-                .run_streaming(&spec, &mut FailAfter(2))
+        for threads in [1, 3] {
+            let err = SweepSession::new(tiny_spec())
+                .threads(threads)
+                .run(&mut FailAfter(2))
                 .expect_err("the sink error must propagate");
             assert_eq!(err.to_string(), "sink full");
         }
@@ -1456,12 +1217,13 @@ mod tests {
 
     #[test]
     fn out_of_grid_and_inverted_ranges_clamp_to_empty() {
-        let spec = tiny_spec();
         #[allow(clippy::reversed_empty_ranges)]
         for range in [100..200, 10..5, 3..3] {
             let mut sink = VecSink::new();
-            let summary = Executor::serial()
-                .run_streaming_range(&spec, range, &mut sink)
+            let summary = SweepSession::new(tiny_spec())
+                .threads(1)
+                .range(range)
+                .run(&mut sink)
                 .unwrap();
             assert_eq!(summary.evaluated(), 0);
             assert!(summary.partial.is_empty());

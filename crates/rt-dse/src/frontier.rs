@@ -24,13 +24,13 @@
 //!    base-2 low-discrepancy samples over the rest of the axis. The union
 //!    of probed and refinement points becomes one flat scenario list —
 //!    slice-major, utilizations ascending within each slice, trials
-//!    innermost — streamed through the ordinary executor with full
+//!    innermost — streamed through the ordinary session engine with full
 //!    parallelism, so the existing sink/checkpoint/shard machinery applies
 //!    unchanged.
 //!
 //! # Determinism
 //!
-//! Every probe round runs through the deterministic executor, so its
+//! Every probe round runs through the deterministic engine, so its
 //! acceptance ratios — and therefore the bisection decisions, the
 //! refinement plan and all emitted bytes — are independent of thread count.
 //! Problem streams are the **positional** ones the exhaustive grid assigns
@@ -56,16 +56,12 @@
 
 use std::collections::BTreeMap;
 use std::ops::Range;
-use std::sync::Arc;
 use std::time::Duration;
-
-use rt_core::batch::BatchMode;
 
 use crate::agg::SweepAccumulator;
 use crate::api::{SweepHandle, SweepSession};
-use crate::exec::{shard_range, Executor, StreamSummary};
+use crate::exec::{self, shard_range, StreamSummary};
 use crate::memo::MemoCache;
-use crate::obs::{SweepObs, ENGINE_TRACK};
 use crate::scenario::Scenario;
 use crate::sink::{OutcomeSink, VecSink};
 use crate::spec::{AllocatorKind, ExploreMode, FrontierConfig, PeriodPolicy, ScenarioSpec};
@@ -170,7 +166,7 @@ pub struct FrontierPlan {
     pub slices: Vec<FrontierSlice>,
     /// The flat emission list: slice-major, utilizations ascending within a
     /// slice, trials innermost. Every [`Scenario::index`] equals its
-    /// position, so the list feeds the executor's streaming core directly.
+    /// position, so the list feeds the engine's streaming core directly.
     pub scenarios: Vec<Scenario>,
     /// Trials per utilization point (copied from the spec; the emission
     /// granularity checkpoints must align to).
@@ -339,23 +335,20 @@ impl SliceSearch {
     }
 }
 
-/// The frontier-mode driver: wraps one [`SweepSession`]'s configuration,
-/// owns the memo the two phases share, and exposes
-/// [`FrontierRunner::plan`] (Phase A) plus [`FrontierRunner::run`]
+/// The frontier-mode driver: holds one [`SweepSession`] — its threads,
+/// kernel mode, observability, store and handle apply to every probe round
+/// and to the emission — plus the memo the two phases share, and exposes
+/// [`FrontierRunner::plan`] (Phase A) and [`FrontierRunner::run`]
 /// (Phase B). The session's `range` builder is ignored — frontier ranges
 /// are plan-relative ([`FrontierPlan::shard_scenario_range`]).
 #[derive(Debug)]
 pub struct FrontierRunner {
-    spec: ScenarioSpec,
+    session: SweepSession,
     config: FrontierConfig,
-    threads: usize,
-    batch: BatchMode,
-    obs: SweepObs,
-    handle: SweepHandle,
     /// Shared by every probe round and the emission phase, so Phase A warms
     /// exactly the entries Phase B reads. Cumulative counters: a summary's
     /// [`StreamSummary::memo`] covers everything up to that point.
-    memo: Arc<MemoCache>,
+    memo: MemoCache,
 }
 
 impl FrontierRunner {
@@ -368,25 +361,17 @@ impl FrontierRunner {
             ExploreMode::Frontier(config) => config,
             ExploreMode::Exhaustive => FrontierConfig::default(),
         };
-        let mut memo = MemoCache::with_observability(&session.obs.registry().shard(ENGINE_TRACK));
-        if let Some(store) = &session.store {
-            memo = memo.backed_by(Arc::clone(store));
-        }
         FrontierRunner {
-            spec: session.spec,
+            memo: session.memo_cache(),
+            session,
             config,
-            threads: session.threads,
-            batch: session.batch,
-            obs: session.obs,
-            handle: session.handle,
-            memo: Arc::new(memo),
         }
     }
 
     /// The spec this driver explores.
     #[must_use]
     pub fn spec(&self) -> &ScenarioSpec {
-        &self.spec
+        &self.session.spec
     }
 
     /// The cancellation/progress handle (shared with the session it was
@@ -394,32 +379,25 @@ impl FrontierRunner {
     /// Phase B — `total` only becomes stable once emission starts.
     #[must_use]
     pub fn handle(&self) -> SweepHandle {
-        self.handle.clone()
-    }
-
-    fn executor(&self) -> Executor {
-        Executor::with_threads(self.threads)
-            .with_batch_mode(self.batch)
-            .with_observability(self.obs.clone())
-            .with_handle(self.handle.clone())
-            .with_shared_memo(Arc::clone(&self.memo))
+        self.session.handle()
     }
 
     /// Phase A: bisects every slice's acceptance cliff and derives the
     /// refinement plan. Deterministic for a fixed spec — independent of
     /// thread count — because every probe round runs through the
-    /// deterministic executor and every later decision is a pure function
+    /// deterministic engine and every later decision is a pure function
     /// of committed round results. Cancellation marks the returned plan
     /// [`FrontierPlan::cancelled`]; such a plan must not be emitted.
     #[must_use]
     pub fn plan(&self) -> FrontierPlan {
-        let trials = self.spec.trials;
+        let spec = self.spec();
+        let trials = spec.trials;
         let mut searches: Vec<SliceSearch> = Vec::new();
         let mut stream_base = 0u64;
-        for &cores in &self.spec.cores {
-            let utils = self.spec.utilizations.points(cores);
-            for &allocator in &self.spec.allocators {
-                for &policy in &self.spec.period_policies {
+        for &cores in &spec.cores {
+            let utils = spec.utilizations.points(cores);
+            for &allocator in &spec.allocators {
+                for &policy in &spec.period_policies {
                     searches.push(SliceSearch {
                         cores,
                         allocator,
@@ -535,10 +513,14 @@ impl FrontierRunner {
             }
         }
         let mut sink = VecSink::new();
-        let summary = self
-            .executor()
-            .run_scenario_list(&self.spec, &scenarios, 0..scenarios.len(), &mut sink)
-            .expect("a VecSink never raises I/O errors");
+        let summary = exec::stream(
+            &self.session,
+            &scenarios,
+            0..scenarios.len(),
+            Some(&self.memo),
+            &mut sink,
+        )
+        .expect("a VecSink never raises I/O errors");
         if summary.cancelled {
             return None;
         }
@@ -573,8 +555,13 @@ impl FrontierRunner {
         range: Range<usize>,
         sink: &mut dyn OutcomeSink,
     ) -> std::io::Result<StreamSummary> {
-        self.executor()
-            .run_scenario_list(&self.spec, &plan.scenarios, range, sink)
+        exec::stream(
+            &self.session,
+            &plan.scenarios,
+            range,
+            Some(&self.memo),
+            sink,
+        )
     }
 
     /// Convenience: Phase A then the full Phase B. A cancellation during
@@ -591,13 +578,13 @@ impl FrontierRunner {
         let plan = self.plan();
         if plan.cancelled {
             let summary = StreamSummary {
-                name: self.spec.name.clone(),
+                name: self.spec().name.clone(),
                 grid_len: plan.len(),
                 range: 0..0,
                 partial: SweepAccumulator::new(),
                 memo: self.memo.stats(),
                 elapsed: Duration::ZERO,
-                threads: self.threads.max(1),
+                threads: self.session.threads.max(1),
                 cancelled: true,
             };
             return Ok((plan, summary));
@@ -807,7 +794,7 @@ mod tests {
             }
         }
         // The artifact rendering matches its header's arity.
-        let csv = crate::sink::frontier_to_csv(&rows);
+        let csv = crate::testutil::frontier_to_csv(&rows);
         let commas = crate::sink::FRONTIER_HEADER.matches(',').count();
         for line in csv.lines() {
             assert_eq!(line.matches(',').count(), commas, "{line}");
@@ -880,6 +867,55 @@ mod tests {
         assert!(summary.cancelled);
         assert_eq!(summary.evaluated(), 0);
         assert!(sink.outcomes().is_empty());
+    }
+
+    #[test]
+    fn runner_honours_every_session_setting() {
+        // The runner drives both phases through the session it holds: a
+        // store-backed, scalar-kernel, instrumented session emits the
+        // default session's bytes, its settings demonstrably reach the
+        // engine, and a warm repeat on the same store answers from disk.
+        use crate::obs::SweepObs;
+        use crate::store::MemoStore;
+        use rt_core::batch::BatchMode;
+        use std::sync::Arc;
+
+        let emit = |session: SweepSession| {
+            let mut sink = JsonlSink::new(Vec::new());
+            let (_, summary) = FrontierRunner::new(session).explore(&mut sink).unwrap();
+            (sink.into_inner(), summary)
+        };
+        let (reference, _) = emit(SweepSession::new(frontier_spec()));
+        assert!(!reference.is_empty());
+
+        let dir =
+            std::env::temp_dir().join(format!("rt-dse-frontier-session-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = Arc::new(MemoStore::open(&dir).unwrap());
+        let configured = |obs: &SweepObs| {
+            SweepSession::new(frontier_spec())
+                .threads(2)
+                .memo_store(Arc::clone(&store))
+                .batch_mode(BatchMode::Scalar)
+                .observability(obs.clone())
+        };
+        let cold_obs = SweepObs::enabled();
+        let (cold, _) = emit(configured(&cold_obs));
+        assert_eq!(cold, reference);
+        let snapshot = cold_obs.registry().snapshot();
+        assert!(snapshot.counter("sweep.scenarios_done") > 0);
+        assert!(snapshot.counter("memo.problem_misses") > 0);
+        assert!(!snapshot.histograms.contains_key("batch.lanes_filled"));
+
+        let warm_obs = SweepObs::enabled();
+        let (warm, summary) = emit(configured(&warm_obs));
+        assert_eq!(warm, reference);
+        assert!(summary.memo.store_hits > 0);
+        assert_eq!(
+            warm_obs.registry().snapshot().counter("memo.store_hits"),
+            summary.memo.store_hits
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -11,14 +11,16 @@
 //! * [`ScenarioGrid`](grid::ScenarioGrid) — cartesian or sampled expansion
 //!   into concrete [`Scenario`](scenario::Scenario) points with
 //!   deterministic per-point seed addresses,
-//! * [`Executor`](exec::Executor) — a self-balancing worker pool (scoped
-//!   threads pulling from a shared cursor) whose results are independent of
-//!   thread count and evaluation order; the streaming entry points feed an
+//! * [`SweepSession`](api::SweepSession) — the one engine entry point: a
+//!   builder over threads, kernel mode, observability, persistent
+//!   [`MemoStore`](store::MemoStore) and grid range whose run is a
+//!   self-balancing worker pool (pulling from a shared cursor) with results
+//!   independent of thread count and evaluation order. Outcomes reach an
 //!   [`OutcomeSink`](sink::OutcomeSink) in grid order through a reorder
 //!   buffer, so memory stays O(threads + reorder window) instead of O(grid),
-//! * [`MemoCache`](memo::MemoCache) — cross-scenario caching of generated
-//!   problems, Eq. (1) feasibility verdicts and allocator runs, so the
-//!   allocator/policy axes never regenerate or re-solve the same point,
+//!   and a per-run memo caches generated problems, Eq. (1) feasibility
+//!   verdicts and allocator runs, so the allocator/policy axes never
+//!   regenerate or re-solve the same point,
 //! * [`FrontierRunner`](frontier::FrontierRunner) — the adaptive
 //!   exploration mode: per-slice bisection for the acceptance cliff plus a
 //!   deterministic refinement plan, replacing exhaustive utilization grids,
@@ -72,41 +74,19 @@ pub mod scenario;
 pub mod sink;
 pub mod spec;
 pub mod store;
+#[cfg(test)]
+mod testutil;
 
-#[allow(deprecated)]
-pub use agg::{
-    aggregate, paired_comparison, AggregateRow, PairedPoint, PairedSink, SweepAccumulator,
-};
-pub use api::{Progress, SweepHandle, SweepSession};
-pub use checkpoint::{sweep_fingerprint, Checkpoint};
-pub use exec::{shard_range, Executor, StreamSummary, SweepResult};
-pub use frontier::{FrontierPlan, FrontierRow, FrontierRunner, FrontierSlice};
-pub use grid::ScenarioGrid;
-pub use memo::{hash_taskset, AllocationKey, MemoCache, MemoStats, ProblemKey, SharedAllocation};
-pub use obs::{phase_table, SweepObs, WorkerObs, ENGINE_TRACK, PHASES};
-pub use rt_core::batch::{BatchMode, BatchStats};
-pub use rt_core::Time;
-pub use scenario::{DetectionStats, Scenario, ScenarioOutcome};
-pub use sink::{CsvSink, JsonlSink, NullSink, OutcomeSink, TeeSink, VecSink};
-pub use spec::{
-    AllocatorKind, Evaluation, Expansion, ExploreMode, FrontierConfig, PeriodPolicy, ScenarioSpec,
-    SyntheticOverrides, UtilizationGrid, Workload,
-};
-pub use store::MemoStore;
-
-/// Convenience re-exports for sweep definitions.
+/// Convenience re-exports for sweep definitions; the crate root re-exports
+/// all of them too.
 pub mod prelude {
-    #[allow(deprecated)]
-    pub use crate::agg::{aggregate, paired_comparison, PairedSink, SweepAccumulator};
+    pub use crate::agg::{PairedSink, SweepAccumulator};
     pub use crate::api::{Progress, SweepHandle, SweepSession};
-    pub use crate::exec::{shard_range, Executor, StreamSummary, SweepResult};
+    pub use crate::exec::{shard_range, StreamSummary};
     pub use crate::frontier::{FrontierPlan, FrontierRow, FrontierRunner, FrontierSlice};
     pub use crate::grid::ScenarioGrid;
     pub use crate::scenario::{Scenario, ScenarioOutcome};
-    #[allow(deprecated)]
-    pub use crate::sink::{
-        to_csv, to_jsonl, write_outputs, CsvSink, JsonlSink, NullSink, OutcomeSink, VecSink,
-    };
+    pub use crate::sink::{CsvSink, JsonlSink, NullSink, OutcomeSink, VecSink};
     pub use crate::spec::{
         AllocatorKind, Evaluation, Expansion, ExploreMode, FrontierConfig, PeriodPolicy,
         ScenarioSpec, SyntheticOverrides, UtilizationGrid, Workload,
@@ -114,3 +94,13 @@ pub mod prelude {
     pub use crate::store::MemoStore;
     pub use rt_core::batch::BatchMode;
 }
+
+pub use agg::{AggregateRow, PairedPoint};
+pub use checkpoint::{sweep_fingerprint, Checkpoint};
+pub use memo::{hash_taskset, AllocationKey, MemoStats, ProblemKey};
+pub use obs::{phase_table, SweepObs, WorkerObs, ENGINE_TRACK, PHASES};
+pub use prelude::*;
+pub use rt_core::batch::BatchStats;
+pub use rt_core::Time;
+pub use scenario::DetectionStats;
+pub use sink::TeeSink;

@@ -14,7 +14,7 @@
 //!   allocator run instead of repeating the search per policy.
 //!
 //! The cache is sharded to keep lock contention negligible under the
-//! work-stealing executor; every entry is immutable once inserted (`Arc`ed
+//! self-balancing worker pool; every entry is immutable once inserted (`Arc`ed
 //! problems), so readers never block writers of *other* keys for long.
 //!
 //! # The retired partition family
@@ -158,7 +158,7 @@ pub struct MemoStats {
 /// A cached allocator run: the allocation, or the scheme's rejection
 /// (failures cache too — an unschedulable task set fails once per scheme,
 /// not once per period policy).
-pub type SharedAllocation = Arc<Result<Allocation, AllocationError>>;
+pub(crate) type SharedAllocation = Arc<Result<Allocation, AllocationError>>;
 
 /// One shard of a cache family whose values carry the *fresh* flag described
 /// on [`MemoCache`] (true = prefetched, not yet counted).
@@ -201,7 +201,7 @@ struct MemoObsCounters {
 /// — and output bytes — are identical whether the store is cold, warm or
 /// absent.
 #[derive(Debug, Default)]
-pub struct MemoCache {
+pub(crate) struct MemoCache {
     store: Option<Arc<MemoStore>>,
     problems: Vec<FreshShard<ProblemKey, Arc<AllocationProblem>>>,
     feasibility: Vec<FreshShard<(u64, usize), bool>>,

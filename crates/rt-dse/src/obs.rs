@@ -1,9 +1,9 @@
 //! Observability wiring for the sweep engine: the fixed phase list, the
 //! metric names of the documented `metrics.json` schema, and the per-sweep
-//! / per-worker handle bundles the executor threads record through.
+//! / per-worker handle bundles the engine's workers record through.
 //!
 //! Everything here follows the `rt-obs` overhead contract: a disabled
-//! [`SweepObs`] hands out inert handles, the executor's outputs are
+//! [`SweepObs`] hands out inert handles, the engine's outputs are
 //! byte-identical with observability on or off, and the enabled hot path
 //! per scenario is a handful of relaxed atomics plus (when tracing) two
 //! clock reads per phase.
@@ -71,7 +71,7 @@ pub const PHASE_CHECKPOINT: usize = 6;
 pub const ENGINE_TRACK: usize = usize::MAX;
 
 /// The observability bundle of one sweep: a metrics [`Registry`] plus a
-/// phase [`Tracer`], threaded through the executor. Cheap to clone.
+/// phase [`Tracer`], threaded through the engine. Cheap to clone.
 #[derive(Debug, Clone, Default)]
 pub struct SweepObs {
     registry: Registry,

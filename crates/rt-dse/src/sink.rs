@@ -7,17 +7,14 @@
 //! included. The determinism property tests diff these bytes across runs,
 //! thread counts and shard splits.
 //!
-//! The [`OutcomeSink`] trait is the streaming half: the executor feeds it one
+//! The [`OutcomeSink`] trait is the streaming half: the engine feeds it one
 //! outcome at a time **in grid order** (a reorder buffer over the parallel
-//! workers restores the order), so a sweep's memory footprint no longer
-//! scales with the grid — [`JsonlSink`] and [`CsvSink`] write each record as
-//! it arrives and retain nothing. [`VecSink`] is the buffered adapter the
-//! compatibility API [`crate::Executor::run`] uses.
+//! workers restores the order), so a sweep's memory footprint does not
+//! scale with the grid — [`JsonlSink`] and [`CsvSink`] write each record as
+//! it arrives and retain nothing. [`VecSink`] buffers every outcome for
+//! callers that want them in memory.
 
 use std::fmt::Write as _;
-use std::fs;
-use std::io::Write as _;
-use std::path::{Path, PathBuf};
 
 use crate::agg::AggregateRow;
 use crate::scenario::ScenarioOutcome;
@@ -145,13 +142,13 @@ pub fn outcome_to_csv_row(outcome: &ScenarioOutcome) -> String {
     )
 }
 
-/// A consumer of scenario outcomes, fed **in grid order** by the streaming
-/// executor ([`crate::Executor::run_streaming`]).
+/// A consumer of scenario outcomes, fed **in grid order** by
+/// [`crate::SweepSession::run`].
 ///
 /// Implementations should write or fold each record as it arrives and retain
 /// O(1) state, so sweep memory stays bounded regardless of grid size.
 ///
-/// `Send` is required because the parallel executor's reorder buffer hands
+/// `Send` is required because the engine's reorder buffer hands
 /// the sink across worker threads (exactly one worker drains it at a time,
 /// under a lock, so `Sync` is not needed).
 pub trait OutcomeSink: Send {
@@ -280,8 +277,7 @@ impl<W: std::io::Write + Send> OutcomeSink for CsvSink<W> {
     }
 }
 
-/// Buffers outcomes in memory — the adapter behind the non-streaming
-/// [`crate::Executor::run`]. Memory scales with the grid; prefer the
+/// Buffers outcomes in memory. Memory scales with the grid; prefer the
 /// streaming sinks for large sweeps.
 #[derive(Debug, Default)]
 pub struct VecSink {
@@ -370,29 +366,6 @@ impl OutcomeSink for TeeSink<'_> {
     }
 }
 
-/// Renders all outcomes as JSONL (one JSON object per line, grid order).
-#[must_use]
-pub fn to_jsonl(outcomes: &[ScenarioOutcome]) -> String {
-    let mut out = String::new();
-    for outcome in outcomes {
-        out.push_str(&outcome_to_json(outcome));
-        out.push('\n');
-    }
-    out
-}
-
-/// Renders all outcomes as a flat CSV (header + one row per scenario).
-#[must_use]
-pub fn to_csv(outcomes: &[ScenarioOutcome]) -> String {
-    let mut out = String::from(CSV_HEADER);
-    out.push('\n');
-    for outcome in outcomes {
-        out.push_str(&outcome_to_csv_row(outcome));
-        out.push('\n');
-    }
-    out
-}
-
 /// Renders the aggregate summary as CSV.
 #[must_use]
 pub fn summary_to_csv(rows: &[AggregateRow]) -> String {
@@ -452,72 +425,12 @@ pub fn frontier_row_to_csv(row: &crate::frontier::FrontierRow) -> String {
     )
 }
 
-/// Renders the full frontier artifact (header + one row per probed point,
-/// slices in spec order, utilizations ascending within each slice).
-#[must_use]
-pub fn frontier_to_csv(rows: &[crate::frontier::FrontierRow]) -> String {
-    let mut out = String::from(FRONTIER_HEADER);
-    out.push('\n');
-    for row in rows {
-        out.push_str(&frontier_row_to_csv(row));
-        out.push('\n');
-    }
-    out
-}
-
-/// The files one sweep wrote.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WrittenFiles {
-    /// Per-scenario JSONL records.
-    pub jsonl: PathBuf,
-    /// Per-scenario flat CSV.
-    pub csv: PathBuf,
-    /// Aggregate summary CSV.
-    pub summary: PathBuf,
-}
-
-/// Writes the three renderings to `dir/{name}.jsonl`, `dir/{name}.csv` and
-/// `dir/{name}_summary.csv`, creating `dir` if needed.
-///
-/// # Errors
-///
-/// Returns any I/O error from creating the directory or writing a file.
-#[deprecated(
-    since = "0.1.0",
-    note = "stream through `JsonlSink`/`CsvSink` (as the `dse` CLI does) instead of \
-            buffering the whole sweep; this shim will be removed next release"
-)]
-pub fn write_outputs(
-    dir: impl AsRef<Path>,
-    name: &str,
-    outcomes: &[ScenarioOutcome],
-    rows: &[AggregateRow],
-) -> std::io::Result<WrittenFiles> {
-    let dir = dir.as_ref();
-    fs::create_dir_all(dir)?;
-    let write = |path: &Path, content: &str| -> std::io::Result<()> {
-        let mut file = fs::File::create(path)?;
-        file.write_all(content.as_bytes())
-    };
-    let files = WrittenFiles {
-        jsonl: dir.join(format!("{name}.jsonl")),
-        csv: dir.join(format!("{name}.csv")),
-        summary: dir.join(format!("{name}_summary.csv")),
-    };
-    write(&files.jsonl, &to_jsonl(outcomes))?;
-    write(&files.csv, &to_csv(outcomes))?;
-    write(&files.summary, &summary_to_csv(rows))?;
-    Ok(files)
-}
-
 #[cfg(test)]
-#[allow(deprecated)] // the buffered shims stay covered until their removal
 mod tests {
     use super::*;
-    use crate::agg::aggregate;
-    use crate::exec::Executor;
     use crate::scenario::{DetectionStats, Scenario, ScenarioOutcome};
     use crate::spec::{AllocatorKind, ScenarioSpec, UtilizationGrid};
+    use crate::testutil::{aggregate, run, to_csv, to_jsonl};
 
     fn outcomes() -> Vec<ScenarioOutcome> {
         let mut spec = ScenarioSpec::synthetic("sink-test");
@@ -525,7 +438,7 @@ mod tests {
         spec.utilizations = UtilizationGrid::Fractions(vec![0.2]);
         spec.allocators = vec![AllocatorKind::Hydra];
         spec.trials = 2;
-        Executor::serial().run(&spec).outcomes
+        run(&spec, 1)
     }
 
     #[test]
@@ -641,21 +554,5 @@ mod tests {
         assert_eq!(json_escape("\u{1}"), "\\u0001");
         assert_eq!(json_f64(f64::NAN), "null");
         assert_eq!(json_f64(1.5), "1.5");
-    }
-
-    #[test]
-    fn outputs_write_to_disk() {
-        let dir = std::env::temp_dir().join("rt_dse_sink_test");
-        let outcomes = outcomes();
-        let rows = aggregate(&outcomes);
-        let files = write_outputs(&dir, "demo", &outcomes, &rows).unwrap();
-        assert!(fs::read_to_string(&files.jsonl).unwrap().contains("hydra"));
-        assert!(fs::read_to_string(&files.csv)
-            .unwrap()
-            .starts_with("index,"));
-        assert!(fs::read_to_string(&files.summary)
-            .unwrap()
-            .starts_with("cores,"));
-        let _ = fs::remove_dir_all(&dir);
     }
 }

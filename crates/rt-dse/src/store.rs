@@ -1,7 +1,7 @@
 //! The persistent, content-addressed memo store.
 //!
-//! [`MemoStore`] globalizes the three per-run memo families of
-//! [`crate::MemoCache`] — generated problems, Eq. (1) feasibility verdicts
+//! [`MemoStore`] globalizes the three per-run memo families of a sweep's
+//! in-memory cache — generated problems, Eq. (1) feasibility verdicts
 //! and allocator runs — into an on-disk key/value store shared by every run
 //! that opens the same directory: the `dse` CLI, the `dse-serve` server, and
 //! any embedder of [`crate::api::SweepSession`]. A second identical (or

@@ -10,13 +10,44 @@
 //!   concatenate to the **byte-identical** single-process stream at any
 //!   thread count.
 
-// The buffered `aggregate` shim is deprecated but stays the reference these
-// properties compare the streaming accumulators against until its removal.
-#![allow(deprecated)]
-
-use hydra_repro::dse::sink::summary_to_csv;
-use hydra_repro::dse::{prelude::*, TeeSink};
+use hydra_repro::dse::sink::{outcome_to_csv_row, outcome_to_json, summary_to_csv, CSV_HEADER};
+use hydra_repro::dse::{prelude::*, AggregateRow, TeeSink};
 use proptest::prelude::*;
+
+/// Runs `session`, buffering every outcome in grid order.
+fn collect(session: SweepSession) -> Vec<ScenarioOutcome> {
+    let mut sink = VecSink::new();
+    session.run(&mut sink).expect("a VecSink never fails");
+    sink.into_outcomes()
+}
+
+/// Runs `spec` on `threads` workers, buffering every outcome in grid order.
+fn run(spec: &ScenarioSpec, threads: usize) -> Vec<ScenarioOutcome> {
+    collect(SweepSession::new(spec.clone()).threads(threads))
+}
+
+/// Renders outcomes as JSONL (one JSON object per line).
+fn to_jsonl(outcomes: &[ScenarioOutcome]) -> String {
+    outcomes.iter().map(|o| outcome_to_json(o) + "\n").collect()
+}
+
+/// Renders outcomes as a flat CSV (header + one row per outcome).
+fn to_csv(outcomes: &[ScenarioOutcome]) -> String {
+    let rows: String = outcomes
+        .iter()
+        .map(|o| outcome_to_csv_row(o) + "\n")
+        .collect();
+    format!("{CSV_HEADER}\n{rows}")
+}
+
+/// Folds outcomes into the summary rows.
+fn aggregate(outcomes: &[ScenarioOutcome]) -> Vec<AggregateRow> {
+    let mut acc = SweepAccumulator::new();
+    for outcome in outcomes {
+        acc.record(outcome);
+    }
+    acc.rows()
+}
 
 /// A small randomly-parameterised sweep spec: the property tests quantify
 /// over cores, trials, utilization grids, seeds and allocator subsets.
@@ -72,25 +103,25 @@ proptest! {
 
     #[test]
     fn repeated_runs_serialize_to_identical_bytes(spec in arb_spec()) {
-        let first = Executor::serial().run(&spec);
-        let second = Executor::serial().run(&spec);
-        prop_assert_eq!(to_jsonl(&first.outcomes), to_jsonl(&second.outcomes));
-        prop_assert_eq!(to_csv(&first.outcomes), to_csv(&second.outcomes));
+        let first = run(&spec, 1);
+        let second = run(&spec, 1);
+        prop_assert_eq!(to_jsonl(&first), to_jsonl(&second));
+        prop_assert_eq!(to_csv(&first), to_csv(&second));
     }
 
     #[test]
     fn parallel_and_serial_execution_agree_exactly(spec in arb_spec()) {
-        let serial = Executor::serial().run(&spec);
-        let parallel = Executor::with_threads(4).run(&spec);
+        let serial = run(&spec, 1);
+        let parallel = run(&spec, 4);
         // Outcome-level equality...
-        prop_assert_eq!(&serial.outcomes, &parallel.outcomes);
+        prop_assert_eq!(&serial, &parallel);
         // ...and therefore byte-identical serializations and aggregates.
         prop_assert_eq!(
-            to_jsonl(&serial.outcomes),
-            to_jsonl(&parallel.outcomes)
+            to_jsonl(&serial),
+            to_jsonl(&parallel)
         );
-        let serial_agg = aggregate(&serial.outcomes);
-        let parallel_agg = aggregate(&parallel.outcomes);
+        let serial_agg = aggregate(&serial);
+        let parallel_agg = aggregate(&parallel);
         prop_assert_eq!(&serial_agg, &parallel_agg);
         prop_assert_eq!(summary_to_csv(&serial_agg), summary_to_csv(&parallel_agg));
     }
@@ -99,13 +130,13 @@ proptest! {
     fn different_seeds_produce_different_results(spec in arb_spec()) {
         let mut reseeded = spec.clone();
         reseeded.base_seed = spec.base_seed.wrapping_add(1);
-        let a = Executor::serial().run(&spec);
-        let b = Executor::serial().run(&reseeded);
+        let a = run(&spec, 1);
+        let b = run(&reseeded, 1);
         // Same grid shape...
-        prop_assert_eq!(a.outcomes.len(), b.outcomes.len());
+        prop_assert_eq!(a.len(), b.len());
         // ...but different generated workloads somewhere in the sweep.
         prop_assert!(
-            to_jsonl(&a.outcomes) != to_jsonl(&b.outcomes),
+            to_jsonl(&a) != to_jsonl(&b),
             "two different seeds produced byte-identical sweeps"
         );
     }
@@ -118,10 +149,10 @@ fn sampled_expansion_is_deterministic_across_thread_counts() {
     spec.utilizations = UtilizationGrid::NormalizedSteps(4);
     spec.trials = 3;
     spec.expansion = Expansion::Sampled(20);
-    let serial = Executor::serial().run(&spec);
-    let parallel = Executor::with_threads(3).run(&spec);
-    assert_eq!(serial.outcomes.len(), 20);
-    assert_eq!(to_jsonl(&serial.outcomes), to_jsonl(&parallel.outcomes));
+    let serial = run(&spec, 1);
+    let parallel = run(&spec, 3);
+    assert_eq!(serial.len(), 20);
+    assert_eq!(to_jsonl(&serial), to_jsonl(&parallel));
 }
 
 /// Streams `range` of `spec` into fresh JSONL/CSV buffers and appends them
@@ -138,8 +169,10 @@ fn stream_range_into(
     let mut jsonl_sink = JsonlSink::new(Vec::new());
     let mut csv_sink = CsvSink::new(Vec::new(), first);
     let mut tee = TeeSink::new().with(&mut jsonl_sink).with(&mut csv_sink);
-    Executor::with_threads(threads)
-        .run_streaming_range(spec, range, &mut tee)
+    SweepSession::new(spec.clone())
+        .threads(threads)
+        .range(range)
+        .run(&mut tee)
         .expect("in-memory sinks never fail");
     jsonl.extend(jsonl_sink.into_inner());
     csv.extend(csv_sink.into_inner());
@@ -163,9 +196,9 @@ fn shard_streams_concatenate_to_the_full_run_at_any_thread_count() {
         PeriodPolicy::Joint,
     ];
     spec.trials = 2;
-    let full = Executor::serial().run(&spec);
-    let (full_jsonl, full_csv) = (to_jsonl(&full.outcomes), to_csv(&full.outcomes));
-    let n = full.outcomes.len();
+    let full = run(&spec, 1);
+    let (full_jsonl, full_csv) = (to_jsonl(&full), to_csv(&full));
+    let n = full.len();
     assert_eq!(n, 108);
     for threads in [1usize, 3] {
         for count in [2usize, 5] {
@@ -198,9 +231,9 @@ fn a_killed_and_resumed_run_is_byte_identical_to_one_full_sweep() {
     spec.utilizations = UtilizationGrid::NormalizedSteps(4);
     spec.allocators = vec![AllocatorKind::Hydra, AllocatorKind::SingleCore];
     spec.trials = 3;
-    let full = Executor::serial().run(&spec);
-    let (full_jsonl, full_csv) = (to_jsonl(&full.outcomes), to_csv(&full.outcomes));
-    let n = full.outcomes.len();
+    let full = run(&spec, 1);
+    let (full_jsonl, full_csv) = (to_jsonl(&full), to_csv(&full));
+    let n = full.len();
     for cut in [1usize, n / 3 + 1, n - 1] {
         let mut jsonl = Vec::new();
         let mut csv = Vec::new();
@@ -235,19 +268,19 @@ fn three_policy_paired_sweeps_are_byte_identical_across_thread_counts() {
         PeriodPolicy::Joint,
     ];
     spec.trials = 2;
-    let serial = Executor::serial().run(&spec);
+    let serial = run(&spec, 1);
     for threads in [2usize, 4] {
-        let parallel = Executor::with_threads(threads).run(&spec);
-        assert_eq!(to_jsonl(&serial.outcomes), to_jsonl(&parallel.outcomes));
-        assert_eq!(to_csv(&serial.outcomes), to_csv(&parallel.outcomes));
+        let parallel = run(&spec, threads);
+        assert_eq!(to_jsonl(&serial), to_jsonl(&parallel));
+        assert_eq!(to_csv(&serial), to_csv(&parallel));
         assert_eq!(
-            summary_to_csv(&aggregate(&serial.outcomes)),
-            summary_to_csv(&aggregate(&parallel.outcomes))
+            summary_to_csv(&aggregate(&serial)),
+            summary_to_csv(&aggregate(&parallel))
         );
     }
     // Pairing: the three policy variants of each (point, allocator) report
     // the identical generated problem.
-    for triple in serial.outcomes.chunks(3) {
+    for triple in serial.chunks(3) {
         assert_eq!(
             triple[0].scenario.problem_stream,
             triple[2].scenario.problem_stream
@@ -261,7 +294,7 @@ fn three_policy_paired_sweeps_are_byte_identical_across_thread_counts() {
 
 #[test]
 fn batched_and_scalar_kernels_stream_identical_bytes() {
-    // The batch-kernel contract, pinned: switching the executor between the
+    // The batch-kernel contract, pinned: switching the engine between the
     // 8-lane structure-of-arrays kernels (the default) and the scalar
     // oracles never changes an output byte — across the full allocator and
     // period-policy axes, at any thread count.
@@ -280,31 +313,27 @@ fn batched_and_scalar_kernels_stream_identical_bytes() {
     ];
     spec.trials = 2;
 
-    let scalar = Executor::serial()
-        .with_batch_mode(BatchMode::Scalar)
-        .run(&spec);
-    let scalar_jsonl = to_jsonl(&scalar.outcomes);
-    let scalar_csv = to_csv(&scalar.outcomes);
-    let scalar_summary = summary_to_csv(&aggregate(&scalar.outcomes));
+    let scalar = collect(
+        SweepSession::new(spec.clone())
+            .threads(1)
+            .batch_mode(BatchMode::Scalar),
+    );
+    let scalar_jsonl = to_jsonl(&scalar);
+    let scalar_csv = to_csv(&scalar);
+    let scalar_summary = summary_to_csv(&aggregate(&scalar));
 
     for threads in [1usize, 2, 4] {
         for mode in [BatchMode::Batch, BatchMode::Scalar] {
-            let run = Executor::with_threads(threads)
-                .with_batch_mode(mode)
-                .run(&spec);
+            let run = collect(
+                SweepSession::new(spec.clone())
+                    .threads(threads)
+                    .batch_mode(mode),
+            );
             let label = format!("threads={threads} mode={mode:?}");
+            assert_eq!(to_jsonl(&run), scalar_jsonl, "JSONL differs with {label}");
+            assert_eq!(to_csv(&run), scalar_csv, "CSV differs with {label}");
             assert_eq!(
-                to_jsonl(&run.outcomes),
-                scalar_jsonl,
-                "JSONL differs with {label}"
-            );
-            assert_eq!(
-                to_csv(&run.outcomes),
-                scalar_csv,
-                "CSV differs with {label}"
-            );
-            assert_eq!(
-                summary_to_csv(&aggregate(&run.outcomes)),
+                summary_to_csv(&aggregate(&run)),
                 scalar_summary,
                 "summary differs with {label}"
             );
@@ -319,13 +348,15 @@ proptest! {
     fn batching_on_and_off_agree_on_random_sweeps(spec in arb_spec()) {
         // Quantified over random axes: the batched default and the scalar
         // oracle serialize every sweep to the identical bytes.
-        let batched = Executor::serial().run(&spec);
-        let scalar = Executor::serial()
-            .with_batch_mode(BatchMode::Scalar)
-            .run(&spec);
-        prop_assert_eq!(&batched.outcomes, &scalar.outcomes);
-        prop_assert_eq!(to_jsonl(&batched.outcomes), to_jsonl(&scalar.outcomes));
-        prop_assert_eq!(to_csv(&batched.outcomes), to_csv(&scalar.outcomes));
+        let batched = run(&spec, 1);
+        let scalar = collect(
+            SweepSession::new(spec.clone())
+                .threads(1)
+                .batch_mode(BatchMode::Scalar),
+        );
+        prop_assert_eq!(&batched, &scalar);
+        prop_assert_eq!(to_jsonl(&batched), to_jsonl(&scalar));
+        prop_assert_eq!(to_csv(&batched), to_csv(&scalar));
     }
 }
 
@@ -335,14 +366,15 @@ fn streaming_partial_aggregates_match_the_buffered_summary() {
     spec.cores = vec![2, 4];
     spec.utilizations = UtilizationGrid::NormalizedSteps(3);
     spec.trials = 3;
-    let buffered = Executor::serial().run(&spec);
-    let summary = Executor::with_threads(4)
-        .run_streaming(&spec, &mut NullSink)
+    let buffered = run(&spec, 1);
+    let summary = SweepSession::new(spec.clone())
+        .threads(4)
+        .run(&mut NullSink)
         .unwrap();
-    assert_eq!(summary.partial.rows(), aggregate(&buffered.outcomes));
+    assert_eq!(summary.partial.rows(), aggregate(&buffered));
     assert_eq!(
         summary_to_csv(&summary.partial.rows()),
-        summary_to_csv(&aggregate(&buffered.outcomes))
+        summary_to_csv(&aggregate(&buffered))
     );
 }
 
@@ -364,21 +396,21 @@ fn observability_never_changes_an_output_byte() {
     spec.period_policies = vec![PeriodPolicy::Fixed, PeriodPolicy::Adapt];
     spec.trials = 2;
 
-    let baseline = Executor::serial().run(&spec);
-    let base_jsonl = to_jsonl(&baseline.outcomes);
-    let base_csv = to_csv(&baseline.outcomes);
-    let base_summary = summary_to_csv(&aggregate(&baseline.outcomes));
+    let baseline = run(&spec, 1);
+    let base_jsonl = to_jsonl(&baseline);
+    let base_csv = to_csv(&baseline);
+    let base_summary = summary_to_csv(&aggregate(&baseline));
 
     for threads in [1usize, 2, 4] {
         for (metrics, tracing) in [(true, false), (false, true), (true, true)] {
             let obs = SweepObs::new(metrics, tracing);
-            let executor = Executor::with_threads(threads).with_observability(obs.clone());
+            let session = SweepSession::new(spec.clone())
+                .threads(threads)
+                .observability(obs.clone());
             let mut jsonl_sink = JsonlSink::new(Vec::new());
             let mut csv_sink = CsvSink::new(Vec::new(), true);
             let mut tee = TeeSink::new().with(&mut jsonl_sink).with(&mut csv_sink);
-            let summary = executor
-                .run_streaming(&spec, &mut tee)
-                .expect("in-memory sinks never fail");
+            let summary = session.run(&mut tee).expect("in-memory sinks never fail");
             let label = format!("threads={threads} metrics={metrics} tracing={tracing}");
             assert_eq!(
                 String::from_utf8(jsonl_sink.into_inner()).unwrap(),
@@ -398,7 +430,7 @@ fn observability_never_changes_an_output_byte() {
             if metrics {
                 assert_eq!(
                     obs.registry().snapshot().counter("sweep.scenarios_done"),
-                    baseline.outcomes.len() as u64,
+                    baseline.len() as u64,
                     "scenario counter wrong with {label}"
                 );
             } else {
@@ -421,8 +453,8 @@ fn detection_stats_distinguish_silence_from_instant_detection() {
     // Regression: zero detections must surface as None/missed, never 0.0 ms.
     let mut spec = ScenarioSpec::uav_detection("uav-miss", 20, 15);
     spec.cores = vec![2];
-    let result = Executor::serial().run(&spec);
-    for outcome in &result.outcomes {
+    let result = run(&spec, 1);
+    for outcome in &result {
         let d = outcome.detection.as_ref().unwrap();
         assert_eq!(d.injected, d.detected + d.missed);
         assert_eq!(d.detected == 0, d.mean_ms.is_none());
@@ -439,12 +471,12 @@ fn detection_stats_distinguish_silence_from_instant_detection() {
 fn detection_sweeps_are_deterministic() {
     let mut spec = ScenarioSpec::uav_detection("uav-determinism", 20, 15);
     spec.cores = vec![2];
-    let a = Executor::serial().run(&spec);
-    let b = Executor::with_threads(2).run(&spec);
-    assert_eq!(to_jsonl(&a.outcomes), to_jsonl(&b.outcomes));
+    let a = run(&spec, 1);
+    let b = run(&spec, 2);
+    assert_eq!(to_jsonl(&a), to_jsonl(&b));
     // Both schemes face the identical attack sequence: the detection record
     // exists and reports the same number of injected attacks.
-    for outcome in &a.outcomes {
+    for outcome in &a {
         assert_eq!(outcome.detection.as_ref().unwrap().injected, 15);
     }
 }
