@@ -1,7 +1,7 @@
 //! Criterion bench: throughput of the `rt-dse` sweep engine (scenarios per
 //! second), serial vs multi-threaded, the buffered-vs-streaming output path,
-//! plus the marginal cost of the memoization layer's sharing across the
-//! allocator axis.
+//! plus the marginal cost of an extra scheme when problem groups share each
+//! generated problem across the allocator axis.
 //!
 //! The final group is the **CI bench gate**: a quick fixed-size sweep over
 //! the full axis set (allocators × period policies) whose throughput is
@@ -187,11 +187,11 @@ fn bench_gate(_c: &mut Criterion) {
     let ratio = baseline.map(|b| scenarios_per_sec / b);
     let pass = floor.is_none_or(|f| scenarios_per_sec >= f);
 
-    // Batch-kernel lane occupancy from the instrumented run: the
-    // core-count-bucketed feasibility prefetch exists to keep these lanes
-    // full, so the gate record surfaces the mean occupancy and the scalar
-    // fallback count as first-class fields (the full histogram stays inside
-    // the embedded metrics document).
+    // Batch-kernel lane occupancy from the instrumented run: the engine
+    // packs up to eight same-cores problem groups into one work unit so the
+    // Eq. (1) pass fills these lanes, and the gate record surfaces the mean
+    // occupancy and the scalar fallback count as first-class fields (the
+    // full histogram stays inside the embedded metrics document).
     let snapshot = obs.registry().snapshot();
     let mean_lanes_filled = snapshot
         .histograms

@@ -39,7 +39,7 @@ pub trait Allocator {
     /// for [`SingleCoreAllocator`] the `M − 1`-core partition re-expressed
     /// over the full platform with the dedicated security core left empty.
     /// Harnesses that sweep several schemes over the same problem use this to
-    /// partition once and share the result (see `rt-dse`'s `MemoCache`).
+    /// partition inline and share the result (see `rt-dse`'s `exec` module).
     ///
     /// # Errors
     ///

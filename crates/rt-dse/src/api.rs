@@ -45,8 +45,7 @@ use rt_core::batch::BatchMode;
 
 use crate::exec::{self, StreamSummary};
 use crate::grid::ScenarioGrid;
-use crate::memo::MemoCache;
-use crate::obs::{SweepObs, ENGINE_TRACK};
+use crate::obs::SweepObs;
 use crate::sink::OutcomeSink;
 use crate::spec::ScenarioSpec;
 use crate::store::MemoStore;
@@ -205,10 +204,10 @@ impl SweepSession {
     }
 
     /// Backs the run with a persistent [`MemoStore`] shared across runs and
-    /// processes: the run's memo consults the store on every in-memory miss
-    /// and writes fresh values back. Statistics (bar the `store_*`
-    /// counters) and output bytes are unaffected; repeat work is answered
-    /// from disk.
+    /// processes: each problem group consults the store once for every
+    /// value it would otherwise compute, and writes fresh values back.
+    /// Statistics (bar the `store_*` counters) and output bytes are
+    /// unaffected; repeat work is answered from disk.
     #[must_use]
     pub fn memo_store(mut self, store: Arc<MemoStore>) -> Self {
         self.store = Some(store);
@@ -255,17 +254,6 @@ impl SweepSession {
         let scenarios = ScenarioGrid::expand(&self.spec).into_scenarios();
         let range = self.range.clone().unwrap_or(0..usize::MAX);
         exec::stream(&self, &scenarios, range, None, sink)
-    }
-
-    /// A fresh memo cache for this session: hit/miss counters mirrored onto
-    /// the engine track of the registry (inert when observability is off),
-    /// backed by the persistent store when one is configured.
-    pub(crate) fn memo_cache(&self) -> MemoCache {
-        let memo = MemoCache::with_observability(&self.obs.registry().shard(ENGINE_TRACK));
-        match &self.store {
-            Some(store) => memo.backed_by(Arc::clone(store)),
-            None => memo,
-        }
     }
 }
 

@@ -107,12 +107,12 @@ identical with or without them):
     hit-rates, peak RSS) is always written next to the other outputs.
 
 SCALE-OUT OPTIONS:
-    --store DIR           back the memo cache with the persistent
+    --store DIR           back the sweep with the persistent
                           content-addressed store under DIR (created on first
                           use; shared with dse-serve). Repeat sweeps answer
-                          task-set generation, feasibility, partitioning and
-                          allocation work from disk; output bytes are
-                          identical with or without it
+                          task-set generation, feasibility and allocation
+                          work from disk; output bytes are identical with or
+                          without it
     --shard I/N           evaluate the I-th of N contiguous grid shards; files
                           are named {name}_shardIofN.* and only shard 1 writes
                           the CSV header, so concatenating every shard's file
@@ -595,10 +595,10 @@ fn run_sweep(args: &Args) -> Result<(), String> {
 
     // Frontier mode plans before any output file opens: Phase A bisects
     // every (cores, allocator, policy) slice toward its acceptance cliff
-    // (memo-warm probes, nothing emitted), and the resulting emission list
-    // replaces the exhaustive grid as the unit of sharding, checkpointing
-    // and resume. The plan is a pure function of the spec, so a resumed or
-    // sharded run recomputes the identical list.
+    // (probes emit nothing; their results carry into the emission), and the
+    // resulting emission list replaces the exhaustive grid as the unit of
+    // sharding, checkpointing and resume. The plan is a pure function of the
+    // spec, so a resumed or sharded run recomputes the identical list.
     let frontier: Option<(FrontierRunner, FrontierPlan)> = match spec.explore {
         ExploreMode::Exhaustive => None,
         ExploreMode::Frontier(config) => {

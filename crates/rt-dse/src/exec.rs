@@ -1,36 +1,42 @@
 //! Scenario evaluation and the streaming sweep engine behind
 //! [`SweepSession`].
 //!
-//! A run evaluates a scenario list on `threads` workers pulling indices
-//! from a shared atomic cursor (self-balancing: a worker that lands on a
-//! cheap scenario immediately claims the next index, so stragglers never
-//! idle the pool). Every scenario derives its inputs from its own
-//! `(base_seed, stream)` address, which makes results independent of thread
-//! count, scheduling order and the memoization layer — the property the
-//! determinism tests pin down.
+//! A run splits its scenario list into **problem groups** — every scenario
+//! sharing one `(cores, utilization, problem_stream)` address, in order of
+//! first appearance (per contiguous run of it when a frontier run carries
+//! entries between groups) — and packs consecutive groups into **work
+//! units** (see [`Units::new`]). Workers claim units from a shared atomic
+//! cursor (self-balancing). Per unit a worker generates each problem once,
+//! decides Eq. (1) for the whole unit in one batch-kernel pass, runs each
+//! allocator once per group and applies each period policy per member.
+//! Every scenario derives its inputs from its own `(base_seed, stream)`
+//! address, which makes results independent of thread count, scheduling
+//! order and unit packing — the property the determinism tests pin down.
 //!
 //! Results **stream**: a reorder buffer restores list order and feeds each
 //! outcome to an [`OutcomeSink`] the moment its turn comes, while each worker
-//! folds its own outcomes into a partial [`SweepAccumulator`] merged at the
-//! end. Peak memory is therefore O(threads + reorder window) outcomes plus
-//! the aggregate state — not O(grid) — and a backpressure gate keeps a
-//! worker from racing more than one window ahead of the slowest scenario.
-//! There is one worker body: a one-thread run executes it on the calling
-//! thread, a wider run spawns it on scoped threads.
+//! folds its own outcomes and reuse counters into partials merged at the
+//! end. A backpressure gate keeps a worker from starting a unit more than
+//! one window (64–1024 positions plus one unit span per worker) ahead of
+//! the drain, so the reorder buffer holds at most the window plus one
+//! unit's span of outcomes — not O(grid). There is one worker body: a
+//! one-thread run executes it on the calling thread, a wider run spawns it
+//! on scoped threads.
 //!
 //! Because a scenario's address fully determines its result, any contiguous
-//! index range can be evaluated independently: [`shard_range`] splits a grid
-//! into `n` chunks whose concatenated streams are byte-identical to a single
-//! full run, which is what the `dse` CLI's `--shard i/n` and checkpoint
-//! resume build on.
+//! index range can be evaluated independently (a range groups only the
+//! scenarios inside it): [`shard_range`] splits a grid into `n` chunks
+//! whose concatenated streams are byte-identical to a single full run,
+//! which is what the `dse` CLI's `--shard i/n` and checkpoint resume build
+//! on.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use hydra_core::allocator::{Allocator, OptimalAllocator, SingleCoreAllocator};
+use hydra_core::allocator::{OptimalAllocator, SingleCoreAllocator};
 use hydra_core::{Allocation, AllocationError, AllocationProblem};
 use rt_core::batch::{BatchDemandKernel, BatchMode, BatchStats, LANES};
 use rt_core::dbf::necessary_condition_default_horizon;
@@ -45,7 +51,10 @@ use taskgen::{derive_seed, generate_problem_seeded};
 
 use crate::agg::SweepAccumulator;
 use crate::api::{SweepHandle, SweepSession};
-use crate::memo::{hash_taskset, AllocationKey, MemoCache, MemoStats, ProblemKey};
+use crate::memo::{
+    hash_taskset, AllocationKey, CarriedEntries, MemoStats, ProblemEntry, ProblemKey,
+    SharedAllocation, StoreTally,
+};
 use crate::obs::{
     SweepObs, WorkerObs, ENGINE_TRACK, PHASE_ALLOCATE, PHASE_GENERATE, PHASE_PARTITION,
     PHASE_PERIOD_POLICY, PHASE_SIMULATE, PHASE_SINK,
@@ -53,6 +62,7 @@ use crate::obs::{
 use crate::scenario::{DetectionStats, Scenario, ScenarioOutcome};
 use crate::sink::OutcomeSink;
 use crate::spec::{AllocatorKind, Evaluation, ScenarioSpec, Workload};
+use crate::store::MemoStore;
 
 /// Salt separating the attack-injection seed stream from the task-set
 /// generation stream at the same scenario address.
@@ -60,18 +70,6 @@ const ATTACK_SALT: u64 = 0xa77a_c852_11fe_c7ed;
 
 /// Fingerprint marking case-study problem keys (no generator config).
 const CASE_STUDY_FINGERPRINT: u64 = u64::MAX;
-
-/// Lookahead width (in grid scenarios) of the batched Eq. (1) feasibility
-/// prefetch: wide enough to span several allocator/policy-axis repetitions
-/// of the same problem address and still collect [`LANES`] distinct task
-/// sets from the utilization/trial axes, while staying well inside the
-/// reorder window so prefetched work is never wasted on unevaluated points.
-const PREFETCH_WINDOW: usize = 64;
-
-/// Cap on problems staged per prefetch window across *all* core-count
-/// buckets (each bucket is additionally capped at [`LANES`], the kernel
-/// width). Bounds the generation work one evaluation may front-load.
-const PREFETCH_STAGE_CAP: usize = 2 * LANES;
 
 /// The contiguous scenario-index range of shard `index` (1-based) out of
 /// `count` equal splits of a grid: concatenating every shard's streamed
@@ -102,7 +100,8 @@ pub struct StreamSummary {
     pub range: Range<usize>,
     /// Merged per-worker partial aggregates over the evaluated range.
     pub partial: SweepAccumulator,
-    /// Memoization hit/miss counters.
+    /// Reuse counters (problem, feasibility and allocation hits/misses plus
+    /// persistent-store traffic), exact at any thread count.
     pub memo: MemoStats,
     /// Wall-clock execution time (excluded from serialized outputs so they
     /// stay byte-deterministic).
@@ -153,13 +152,82 @@ pub(crate) struct EvalScratch {
     sim: SimScratch,
     /// The streaming detection observer.
     detector: OnlineDetector,
-    /// The lane-batched Eq. (1) demand kernel of the feasibility prefetch.
+    /// The lane-batched Eq. (1) demand kernel, one lane per problem group
+    /// of a work unit.
     demand: BatchDemandKernel,
-    /// Problems (with their task-set hashes and core counts) staged for one
-    /// prefetch window; same-cores entries form one kernel bucket.
-    prefetch: Vec<(Arc<AllocationProblem>, u64, usize)>,
-    /// Problem keys already staged in the current prefetch window.
-    prefetch_keys: Vec<ProblemKey>,
+}
+
+/// The problem groups of one run and the work units packing them.
+struct Units {
+    /// Member positions (relative to the run's slice) of every problem
+    /// group, groups in order of first appearance.
+    groups: Vec<Vec<usize>>,
+    /// Per group, the earlier group of the same address it continues
+    /// through the carried entries (see [`Units::new`]).
+    follows: Vec<Option<usize>>,
+    /// Each work unit's consecutive range of `groups`.
+    units: Vec<Range<usize>>,
+}
+
+impl Units {
+    /// Groups `slice` by problem address and packs the groups into units:
+    /// up to [`LANES`] consecutive same-cores groups when `pack` (the
+    /// workload has an Eq. (1) stage), one group per unit otherwise. With
+    /// `carry` (the run carries entries between groups) each contiguous run
+    /// of an address is its own group, following the run before it in an
+    /// earlier unit — a frontier list repeats each address once per slice,
+    /// and this keeps every unit within its own stretch of the list.
+    fn new(slice: &[Scenario], pack: bool, carry: bool) -> Self {
+        let mut latest: BTreeMap<(usize, u64, u64), usize> = BTreeMap::new();
+        let mut groups: Vec<Vec<usize>> = Vec::new();
+        let mut follows = Vec::new();
+        for (i, s) in slice.iter().enumerate() {
+            let address = (
+                s.cores,
+                s.utilization.map_or(0, f64::to_bits),
+                s.problem_stream,
+            );
+            let previous = latest.get(&address).copied();
+            let g = match previous {
+                Some(g) if !carry || groups[g].last() == Some(&(i - 1)) => g,
+                _ => {
+                    groups.push(Vec::new());
+                    follows.push(previous);
+                    latest.insert(address, groups.len() - 1);
+                    groups.len() - 1
+                }
+            };
+            groups[g].push(i);
+        }
+        let width = if pack { LANES } else { 1 };
+        let cores = |g: usize| slice[groups[g][0]].cores;
+        let mut units = Vec::new();
+        let mut start = 0;
+        for (g, followed) in follows.iter().enumerate().skip(1) {
+            if g - start == width
+                || cores(g) != cores(start)
+                || followed.is_some_and(|f| f >= start)
+            {
+                units.push(start..g);
+                start = g;
+            }
+        }
+        if !groups.is_empty() {
+            units.push(start..groups.len());
+        }
+        Units {
+            groups,
+            follows,
+            units,
+        }
+    }
+
+    /// The list positions unit `u` spans, its first member to its last.
+    fn span(&self, u: usize) -> usize {
+        let members = self.groups[self.units[u].clone()].iter().flatten();
+        let (first, last) = members.fold((usize::MAX, 0), |(lo, hi), &i| (lo.min(i), hi.max(i)));
+        last + 1 - first
+    }
 }
 
 /// The in-order emission state shared by all workers: a reorder buffer over
@@ -169,6 +237,8 @@ struct Drain<'s> {
     next: usize,
     /// Completed outcomes waiting for their turn.
     pending: BTreeMap<usize, ScenarioOutcome>,
+    /// Groups a later group follows that have not finished yet.
+    awaited: BTreeSet<usize>,
     /// The list-order consumer.
     sink: &'s mut dyn OutcomeSink,
     /// First sink error; set once, aborts the sweep.
@@ -179,13 +249,15 @@ struct Drain<'s> {
 struct Pool<'a, 's> {
     spec: &'a ScenarioSpec,
     slice: &'a [Scenario],
-    memo: &'a MemoCache,
+    units: Units,
+    /// The frontier runner's entries carried across its runs, if any.
+    carried: Option<&'a CarriedEntries>,
+    store: Option<&'a MemoStore>,
     batch: BatchMode,
     obs: &'a SweepObs,
     handle: &'a SweepHandle,
-    /// The reorder window: a worker stuck on the scenario the drain waits
-    /// for can stall at most `window` completed outcomes behind it (plus
-    /// one in flight per worker).
+    /// The reorder window: a unit may start only while its first scenario
+    /// is less than `window` positions ahead of the drain.
     window: usize,
     cursor: AtomicUsize,
     drain: Mutex<Drain<'s>>,
@@ -196,15 +268,15 @@ struct Pool<'a, 's> {
     reorder_depth: Gauge,
 }
 
-/// The worker count a run of `work_items` scenarios uses: `requested`
-/// (`0` = machine parallelism), clamped to `1..=work_items`.
-fn resolve_threads(requested: usize, work_items: usize) -> usize {
+/// The worker count a run of `work_units` units uses: `requested`
+/// (`0` = machine parallelism), clamped to `1..=work_units`.
+fn resolve_threads(requested: usize, work_units: usize) -> usize {
     let requested = if requested == 0 {
         std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
     } else {
         requested
     };
-    requested.clamp(1, work_items.max(1))
+    requested.clamp(1, work_units.max(1))
 }
 
 /// Runs `scenarios[range]` (clamped to the list; an inverted or
@@ -213,10 +285,10 @@ fn resolve_threads(requested: usize, work_items: usize) -> usize {
 /// list order. The session's own range is not consulted — callers pass the
 /// range they mean. Each [`Scenario::index`] must equal its list position.
 ///
-/// `shared_memo` lets a caller (the frontier driver) keep one cache across
-/// several runs so earlier runs warm the entries later ones read;
-/// [`StreamSummary::memo`] then reports its cumulative counters. Without
-/// it the run builds a private cache, backed by the session's store.
+/// `carried` lets the frontier runner carry each address's problem,
+/// verdict and allocator runs from one run into the next: a group reads its
+/// entry when it starts and extends it when it ends. Without it the run
+/// keeps nothing beyond the groups in flight.
 ///
 /// # Errors
 ///
@@ -225,22 +297,19 @@ pub(crate) fn stream(
     session: &SweepSession,
     scenarios: &[Scenario],
     range: Range<usize>,
-    shared_memo: Option<&MemoCache>,
+    carried: Option<&CarriedEntries>,
     sink: &mut dyn OutcomeSink,
 ) -> std::io::Result<StreamSummary> {
     let grid_len = scenarios.len();
     let end = range.end.min(grid_len);
     let range = range.start.min(end)..end;
     let slice = &scenarios[range.clone()];
-    let threads = resolve_threads(session.threads, slice.len());
-    let owned;
-    let memo = match shared_memo {
-        Some(shared) => shared,
-        None => {
-            owned = session.memo_cache();
-            &owned
-        }
-    };
+    let units = Units::new(
+        slice,
+        matches!(session.spec.workload, Workload::Synthetic(_)),
+        carried.is_some(),
+    );
+    let threads = resolve_threads(session.threads, units.units.len());
     let handle = &session.handle;
     handle.arm(slice.len());
     // lint-ok(D002): elapsed feeds only StreamSummary.elapsed (stderr
@@ -251,18 +320,27 @@ pub(crate) fn stream(
     let pool = Pool {
         spec: &session.spec,
         slice,
-        memo,
-        batch: session.batch,
-        obs: &session.obs,
-        handle,
-        window: (threads * 32).clamp(64, 1024),
-        cursor: AtomicUsize::new(0),
+        // Room for every worker's unit on top of the base window.
+        window: (threads * 32).clamp(64, 1024)
+            + threads
+                * (0..units.units.len())
+                    .map(|u| units.span(u))
+                    .max()
+                    .unwrap_or(0),
         drain: Mutex::new(Drain {
             next: 0,
             pending: BTreeMap::new(),
+            awaited: units.follows.iter().flatten().copied().collect(),
             sink,
             error: None,
         }),
+        units,
+        carried,
+        store: session.store.as_deref(),
+        batch: session.batch,
+        obs: &session.obs,
+        handle,
+        cursor: AtomicUsize::new(0),
         turnstile: Condvar::new(),
         reorder_depth: session
             .obs
@@ -270,7 +348,7 @@ pub(crate) fn stream(
             .shard(ENGINE_TRACK)
             .gauge("drain.reorder_depth"),
     };
-    let partial = if threads == 1 {
+    let (partial, memo) = if threads == 1 {
         pool.work(0)
     } else {
         std::thread::scope(|scope| {
@@ -278,13 +356,13 @@ pub(crate) fn stream(
             let workers: Vec<_> = (0..threads)
                 .map(|index| scope.spawn(move || pool.work(index)))
                 .collect();
-            let mut merged = SweepAccumulator::new();
+            let mut merged = (SweepAccumulator::new(), MemoStats::default());
             for worker in workers {
-                merged.merge(
-                    worker
-                        .join()
-                        .unwrap_or_else(|panic| std::panic::resume_unwind(panic)),
-                );
+                let (partial, memo) = worker
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+                merged.0.merge(partial);
+                merged.1 = merged.1.merged(&memo);
             }
             merged
         })
@@ -296,7 +374,7 @@ pub(crate) fn stream(
     }
     // A cancelled run delivered a prefix of the range: shrink it so
     // `evaluated()` keeps meaning "outcomes the sink saw". (The partial
-    // aggregate of a cancelled multi-thread run may additionally cover
+    // aggregate of a cancelled run may additionally cover
     // completed-but-undrained outcomes; cancellation is a shutdown path,
     // not a byte-deterministic one.)
     let cancelled = handle.is_cancelled();
@@ -316,460 +394,416 @@ pub(crate) fn stream(
         grid_len,
         range,
         partial,
-        memo: memo.stats(),
+        memo,
         elapsed: started.elapsed(),
         threads,
         cancelled,
     })
 }
 
+/// One problem group inside a unit: its key and what is known about it.
+type GroupState = (ProblemKey, ProblemEntry);
+
 impl Pool<'_, '_> {
-    /// The worker body: claim the next index, wait while it is more than a
-    /// window ahead of the drain, evaluate, then drain every outcome whose
-    /// turn has come. Returns the worker's partial aggregate.
-    fn work(&self, worker_index: usize) -> SweepAccumulator {
+    /// The worker body: claim the next unit, wait while it starts more than
+    /// a window ahead of the drain or a group it follows is unfinished,
+    /// evaluate it group by group, then drain every outcome whose turn has
+    /// come. Returns the worker's partial aggregate and reuse counters.
+    fn work(&self, worker_index: usize) -> (SweepAccumulator, MemoStats) {
         let wobs = self.obs.worker(worker_index);
         let mut local = SweepAccumulator::new();
+        let mut memo = MemoStats::default();
         let mut scratch = EvalScratch::default();
-        loop {
-            if self.handle.is_cancelled() {
-                break;
-            }
+        while !self.handle.is_cancelled() {
             // relaxed-ok: the fetch_add's RMW atomicity alone guarantees
             // unique indices; no data rides on this atomic — outcome handoff
             // synchronizes through the `drain` mutex below, scenario inputs
             // are immutable.
-            let i = self.cursor.fetch_add(1, Ordering::Relaxed);
-            if i >= self.slice.len() {
+            let u = self.cursor.fetch_add(1, Ordering::Relaxed);
+            let Some(unit) = self.units.units.get(u) else {
                 break;
-            }
-            // Backpressure: wait until the drain is within one window of
-            // this index. The worker holding the drain's next index never
-            // waits, so progress is guaranteed; the wait re-arms
-            // periodically so a cancel delivered while every worker sleeps
-            // still terminates the pool.
-            {
-                let mut state = self.drain.lock().expect("drain poisoned");
-                if state.error.is_none() && i >= state.next + self.window {
-                    // lint-ok(D002): metrics-gated backpressure timing,
-                    // rt-obs counters only.
-                    #[allow(clippy::disallowed_methods)]
-                    let waited = wobs.metrics_enabled().then(Instant::now);
-                    while state.error.is_none()
-                        && i >= state.next + self.window
-                        && !self.handle.is_cancelled()
-                    {
-                        state = self
-                            .turnstile
-                            .wait_timeout(state, Duration::from_millis(25))
-                            .expect("drain poisoned")
-                            .0;
-                    }
-                    if let Some(t0) = waited {
-                        wobs.backpressure_waits.inc();
-                        wobs.backpressure_wait_ns
-                            .add(u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX));
-                    }
-                }
-                if state.error.is_some() || self.handle.is_cancelled() {
-                    break;
-                }
+            };
+            if !self.admit(unit, &wobs) {
+                break;
             }
             // lint-ok(D002): metrics-gated timing feeds the rt-obs histogram
             // only; obs-on/off byte-identity is pinned in CI.
             #[allow(clippy::disallowed_methods)]
             let timed = wobs.metrics_enabled().then(Instant::now);
-            let lookahead = &self.slice[i + 1..self.slice.len().min(i + 1 + PREFETCH_WINDOW)];
-            let outcome = evaluate(
-                self.spec,
-                &self.slice[i],
-                lookahead,
-                self.memo,
-                &mut scratch,
-                &wobs,
-                self.batch,
-            );
-            wobs.record_scenario(timed.map(|t| t.elapsed()));
-            local.record(&outcome);
-            let mut state = self.drain.lock().expect("drain poisoned");
-            state.pending.insert(i, outcome);
-            let mut advanced = false;
-            loop {
-                let turn = state.next;
-                let Some(ready) = state.pending.remove(&turn) else {
-                    break;
-                };
-                let span = wobs.tracer.span(PHASE_SINK);
-                let recorded = state.sink.record(&ready);
-                drop(span);
-                if let Err(error) = recorded {
-                    state.error = Some(error);
-                    break;
-                }
-                state.next += 1;
-                advanced = true;
+            let mut tally = StoreTally {
+                store: self.store,
+                stats: MemoStats::default(),
+            };
+            let groups = &self.units.groups[unit.clone()];
+            let states = self.resolve(groups, &mut tally, &mut scratch, &wobs);
+            let mut outcomes = Vec::new();
+            for (members, state) in groups.iter().zip(states) {
+                outcomes.extend(self.evaluate_group(
+                    members,
+                    state,
+                    &mut tally,
+                    &mut scratch,
+                    &wobs,
+                ));
             }
-            self.handle.set_done(state.next);
-            self.reorder_depth.set(state.pending.len() as i64);
-            if advanced || state.error.is_some() {
-                drop(state);
-                self.turnstile.notify_all();
+            // Each scenario's share of the unit's evaluation time (the
+            // drain below is not part of it).
+            let share =
+                timed.map(|t0| t0.elapsed() / u32::try_from(outcomes.len()).unwrap_or(u32::MAX));
+            for (_, outcome) in &outcomes {
+                local.record(outcome);
+                wobs.record_scenario(share);
+            }
+            wobs.add_memo_stats(&tally.stats);
+            memo = memo.merged(&tally.stats);
+            if !self.deliver(unit.clone(), outcomes, &wobs) {
+                break;
             }
         }
         wobs.add_sim_stats(scratch.sim.stats());
-        local
+        (local, memo)
     }
-}
 
-/// Evaluates a single scenario point, reusing the worker's `scratch`.
-/// `lookahead` is the window of grid scenarios after this one, which the
-/// batched feasibility prefetch mines for same-shape lanes.
-#[allow(clippy::too_many_arguments)]
-fn evaluate(
-    spec: &ScenarioSpec,
-    scenario: &Scenario,
-    lookahead: &[Scenario],
-    memo: &MemoCache,
-    scratch: &mut EvalScratch,
-    wobs: &WorkerObs,
-    mode: BatchMode,
-) -> ScenarioOutcome {
-    match &spec.workload {
-        Workload::Synthetic(overrides) => {
-            let utilization = scenario
-                .utilization
-                .expect("synthetic scenarios carry a utilization");
-            let key = ProblemKey {
-                cores: scenario.cores,
-                utilization_bits: utilization.to_bits(),
-                base_seed: spec.base_seed,
-                stream: scenario.problem_stream,
-                config_fingerprint: overrides.fingerprint(),
-            };
-            let problem = memo.problem(key, || {
-                let _span = wobs.tracer.span(PHASE_GENERATE);
-                let config = overrides.config_for(scenario.cores);
-                generate_problem_seeded(
-                    &config,
-                    utilization,
-                    spec.base_seed,
-                    scenario.problem_stream,
-                )
-            });
-            let taskset_hash = hash_taskset(&problem.rt_tasks);
-            if mode == BatchMode::Batch {
-                prefetch_feasibility_batch(
-                    spec,
-                    scenario,
-                    key,
-                    &problem,
-                    taskset_hash,
-                    lookahead,
-                    memo,
-                    scratch,
-                    wobs,
-                );
+    /// Backpressure: waits until the drain is within one window of the
+    /// unit's first scenario and every group the unit follows has finished.
+    /// Followed groups sit in earlier units, so the unit holding the
+    /// drain's next index, and all it follows, never wait on the window:
+    /// progress is guaranteed. The wait re-arms periodically so a cancel
+    /// still terminates a sleeping pool. Returns whether the unit may run.
+    fn admit(&self, unit: &Range<usize>, wobs: &WorkerObs) -> bool {
+        let first = self.units.groups[unit.start][0];
+        let follows = &self.units.follows[unit.clone()];
+        let blocked = |state: &Drain<'_>| {
+            state.error.is_none()
+                && (first >= state.next + self.window
+                    || follows.iter().flatten().any(|g| state.awaited.contains(g)))
+        };
+        let mut state = self.drain.lock().expect("drain poisoned");
+        if blocked(&state) {
+            // lint-ok(D002): metrics-gated backpressure timing, rt-obs
+            // counters only.
+            #[allow(clippy::disallowed_methods)]
+            let waited = wobs.metrics_enabled().then(Instant::now);
+            while blocked(&state) && !self.handle.is_cancelled() {
+                state = self
+                    .turnstile
+                    .wait_timeout(state, Duration::from_millis(25))
+                    .expect("drain poisoned")
+                    .0;
             }
-            let feasible = memo.feasibility(taskset_hash, scenario.cores, || {
-                necessary_condition_default_horizon(&problem.rt_tasks, scenario.cores)
-            });
-            if !feasible {
-                return ScenarioOutcome::infeasible(
-                    *scenario,
-                    problem.rt_tasks.len(),
-                    problem.security_tasks.len(),
-                    problem.total_utilization(),
-                );
+            if let Some(t0) = waited {
+                wobs.backpressure_waits.inc();
+                wobs.backpressure_wait_ns
+                    .add(u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX));
             }
-            allocate_and_measure(spec, scenario, key, &problem, memo, scratch, wobs, mode)
         }
-        Workload::CaseStudyUav => {
-            let key = ProblemKey {
-                cores: scenario.cores,
-                utilization_bits: 0,
-                base_seed: spec.base_seed,
-                stream: scenario.problem_stream,
-                config_fingerprint: CASE_STUDY_FINGERPRINT,
-            };
-            let problem = memo.problem(key, || {
-                let _span = wobs.tracer.span(PHASE_GENERATE);
-                AllocationProblem::new(
-                    hydra_core::casestudy::uav_rt_tasks(),
-                    hydra_core::catalog::table1_tasks(),
-                    scenario.cores,
-                )
-                .with_partition_config(Workload::uav_partition_config())
-            });
-            allocate_and_measure(spec, scenario, key, &problem, memo, scratch, wobs, mode)
-        }
+        state.error.is_none() && !self.handle.is_cancelled()
     }
-}
 
-/// Lane-batched Eq. (1) prefetch. When the current scenario's feasibility
-/// verdict is uncached, mine the upcoming grid window for other uncached
-/// problems, **bucket them by core count** — every lane of one SoA kernel
-/// pass shares a single capacity bound, so only same-cores problems can ride
-/// together; task counts may differ (short lanes are padded with zero-demand
-/// rows) — and resolve each bucket holding at least two candidates in one
-/// kernel pass. Near a core-axis boundary the window used to collapse to
-/// the current scenario alone and fall back to the scalar path; bucketing
-/// keeps the lanes full by letting the *next* core count's problems fill
-/// their own pass instead of being skipped.
-///
-/// Verdicts enter the memo as *fresh* entries, which defer their miss to the
-/// first counted access, so hit/miss statistics and sweep outputs are
-/// byte-identical to the scalar path. A current-cores bucket yielding a
-/// single lane leaves the verdict to the scalar closure of the counted
-/// access and books a `batch.scalar_fallbacks`; a single-candidate bucket
-/// for a *different* core count books nothing — its problems are prefetched
-/// either way and it pairs up when its own grid region is reached.
-#[allow(clippy::too_many_arguments)]
-fn prefetch_feasibility_batch(
-    spec: &ScenarioSpec,
-    scenario: &Scenario,
-    current_key: ProblemKey,
-    problem: &Arc<AllocationProblem>,
-    taskset_hash: u64,
-    lookahead: &[Scenario],
-    memo: &MemoCache,
-    scratch: &mut EvalScratch,
-    wobs: &WorkerObs,
-) {
-    let Workload::Synthetic(overrides) = &spec.workload else {
-        return;
-    };
-    // The probe also consults the persistent store: a warm store answers
-    // here and the whole batch pass is skipped — per-lane dedup below stays
-    // on the pure in-memory `feasibility_present` so a cold store is not
-    // hammered once per lane.
-    if memo.feasibility_probe(taskset_hash, scenario.cores) {
-        return;
+    /// Parks a finished unit's outcomes in the reorder buffer, releases the
+    /// groups that follow its groups, and drains every outcome whose turn
+    /// has come. Returns `false` once the sink failed.
+    fn deliver(
+        &self,
+        unit: Range<usize>,
+        outcomes: Vec<(usize, ScenarioOutcome)>,
+        wobs: &WorkerObs,
+    ) -> bool {
+        let mut state = self.drain.lock().expect("drain poisoned");
+        state.pending.extend(outcomes);
+        let released = unit.fold(false, |any, g| state.awaited.remove(&g) | any);
+        let mut advanced = false;
+        while state.error.is_none() {
+            let turn = state.next;
+            let Some(ready) = state.pending.remove(&turn) else {
+                break;
+            };
+            let span = wobs.tracer.span(PHASE_SINK);
+            let recorded = state.sink.record(&ready);
+            drop(span);
+            match recorded {
+                Ok(()) => {
+                    state.next += 1;
+                    advanced = true;
+                }
+                Err(error) => state.error = Some(error),
+            }
+        }
+        self.handle.set_done(state.next);
+        self.reorder_depth.set(state.pending.len() as i64);
+        let failed = state.error.is_some();
+        if advanced || failed || released {
+            drop(state);
+            self.turnstile.notify_all();
+        }
+        !failed
     }
-    scratch.prefetch.clear();
-    scratch
-        .prefetch
-        .push((Arc::clone(problem), taskset_hash, scenario.cores));
-    scratch.prefetch_keys.clear();
-    scratch.prefetch_keys.push(current_key);
-    for next in lookahead {
-        if scratch.prefetch.len() >= PREFETCH_STAGE_CAP {
-            break;
-        }
-        let Some(utilization) = next.utilization else {
-            continue;
-        };
-        let key = ProblemKey {
-            cores: next.cores,
-            utilization_bits: utilization.to_bits(),
-            base_seed: spec.base_seed,
-            stream: next.problem_stream,
-            config_fingerprint: overrides.fingerprint(),
-        };
-        // The allocator/policy axes repeat problem addresses back to back;
-        // each distinct address contributes at most one lane.
-        if scratch.prefetch_keys.contains(&key) {
-            continue;
-        }
-        scratch.prefetch_keys.push(key);
-        // Per-bucket cap: one kernel pass takes at most LANES lanes.
-        let in_bucket = scratch
-            .prefetch
+
+    /// Looks up or produces every group's problem, then, for workloads
+    /// with the stage, Eq. (1) for every group (all share a core count): a
+    /// verdict carried in or found in the store is reused, the rest runs as
+    /// one [`BatchDemandKernel`] pass — or the scalar loop under
+    /// [`BatchMode::Scalar`], or for a lone lane, which books a
+    /// `batch.scalar_fallbacks`. Verdicts are identical either way.
+    fn resolve(
+        &self,
+        groups: &[Vec<usize>],
+        tally: &mut StoreTally<'_>,
+        scratch: &mut EvalScratch,
+        wobs: &WorkerObs,
+    ) -> Vec<GroupState> {
+        let mut states: Vec<GroupState> = groups
             .iter()
-            .filter(|(_, _, c)| *c == next.cores)
-            .count();
-        if in_bucket >= LANES {
-            continue;
+            .map(|members| {
+                let lead = &self.slice[members[0]];
+                let key = problem_key(self.spec, lead);
+                let carried = self.carried.and_then(|c| {
+                    c.lock()
+                        .expect("carried entries poisoned")
+                        .get(&key)
+                        .cloned()
+                });
+                let stats = &mut tally.stats;
+                let (hits, misses) = (&mut stats.problem_hits, &mut stats.problem_misses);
+                MemoStats::book(hits, misses, members.len(), carried.is_none());
+                let entry = carried.unwrap_or_else(|| ProblemEntry {
+                    problem: Arc::new(tally.fetch(
+                        |s| s.get_problem(&key),
+                        |s, problem| s.put_problem(&key, problem),
+                        || generate(self.spec, lead, wobs),
+                    )),
+                    feasible: None,
+                    allocations: Vec::new(),
+                });
+                (key, entry)
+            })
+            .collect();
+        if !matches!(self.spec.workload, Workload::Synthetic(_)) {
+            return states;
         }
-        let next_problem = memo.prefetch_problem(key, || {
-            let _span = wobs.tracer.span(PHASE_GENERATE);
-            let config = overrides.config_for(next.cores);
-            generate_problem_seeded(&config, utilization, spec.base_seed, next.problem_stream)
+        let mut open: Vec<usize> = Vec::new();
+        for (i, (members, (key, entry))) in groups.iter().zip(states.iter_mut()).enumerate() {
+            let undecided = entry.feasible.is_none();
+            let stats = &mut tally.stats;
+            let (hits, misses) = (&mut stats.feasibility_hits, &mut stats.feasibility_misses);
+            MemoStats::book(hits, misses, members.len(), undecided);
+            if undecided {
+                let hash = hash_taskset(&entry.problem.rt_tasks);
+                entry.feasible = tally.get(|s| s.get_feasibility(hash, key.cores));
+                if entry.feasible.is_none() {
+                    open.push(i);
+                }
+            }
+        }
+        let Some(&first) = open.first() else {
+            return states;
+        };
+        let cores = states[first].0.cores;
+        let batched = self.batch == BatchMode::Batch && open.len() >= 2;
+        let mut stats = BatchStats::default();
+        let verdicts = batched.then(|| {
+            scratch.demand.begin(open.len());
+            for (lane, &i) in open.iter().enumerate() {
+                let rt_tasks = &states[i].1.problem.rt_tasks;
+                scratch.demand.load_default_horizon(lane, rt_tasks, cores);
+            }
+            stats.record_batch(open.len());
+            scratch.demand.check(cores)
         });
-        let hash = hash_taskset(&next_problem.rt_tasks);
-        if memo.feasibility_present(hash, next.cores)
-            || scratch
-                .prefetch
-                .iter()
-                .any(|(_, h, c)| *h == hash && *c == next.cores)
-        {
-            continue;
+        if self.batch == BatchMode::Batch && !batched {
+            stats.record_fallback();
         }
-        scratch.prefetch.push((next_problem, hash, next.cores));
-    }
-    let mut stats = BatchStats::default();
-    // The current scenario's bucket first, then the other core counts in
-    // staged order (order is cosmetic: verdicts are pure functions of their
-    // inputs, so pass order cannot change any byte).
-    let mut bucket_cores: Vec<usize> = vec![scenario.cores];
-    for (_, _, c) in &scratch.prefetch {
-        if !bucket_cores.contains(c) {
-            bucket_cores.push(*c);
+        wobs.add_batch_stats(&stats);
+        for (lane, &i) in open.iter().enumerate() {
+            let entry = &mut states[i].1;
+            let verdict = verdicts.map_or_else(
+                || necessary_condition_default_horizon(&entry.problem.rt_tasks, cores),
+                |v| v[lane],
+            );
+            entry.feasible = Some(verdict);
+            tally.put(|s| s.put_feasibility(hash_taskset(&entry.problem.rt_tasks), cores, verdict));
         }
+        states
     }
-    for cores in bucket_cores {
-        let lanes = scratch
-            .prefetch
-            .iter()
-            .filter(|(_, _, c)| *c == cores)
-            .count();
-        if lanes < 2 {
-            if cores == scenario.cores {
-                // Nothing to pair the current scenario with: leave its
-                // verdict to the scalar closure of the counted access.
-                stats.record_fallback();
+
+    /// Evaluates one problem group: each scheme's allocator runs once (or
+    /// is carried in), then every member applies its period policy and
+    /// takes its metrics. Returns the members' outcomes by position and
+    /// hands the extended entry to the carried map, if any.
+    fn evaluate_group(
+        &self,
+        members: &[usize],
+        (key, mut entry): GroupState,
+        tally: &mut StoreTally<'_>,
+        scratch: &mut EvalScratch,
+        wobs: &WorkerObs,
+    ) -> Vec<(usize, ScenarioOutcome)> {
+        let problem = Arc::clone(&entry.problem);
+        let mut outcomes = Vec::with_capacity(members.len());
+        for &i in members {
+            let scenario = &self.slice[i];
+            let shell = ScenarioOutcome::infeasible(
+                *scenario,
+                problem.rt_tasks.len(),
+                problem.security_tasks.len(),
+                problem.total_utilization(),
+            );
+            if entry.feasible == Some(false) {
+                outcomes.push((i, shell));
+                continue;
             }
-            continue;
+            let known = entry
+                .allocations
+                .iter()
+                .find(|(kind, _)| *kind == scenario.allocator)
+                .map(|(_, run)| Arc::clone(run));
+            let stats = &mut tally.stats;
+            let (hits, misses) = (&mut stats.allocation_hits, &mut stats.allocation_misses);
+            MemoStats::book(hits, misses, 1, known.is_none());
+            let run = known.unwrap_or_else(|| {
+                let allocation_key = AllocationKey {
+                    problem: key,
+                    allocator: scenario.allocator,
+                };
+                let run = Arc::new(tally.fetch(
+                    |s| s.get_allocation(&allocation_key),
+                    |s, run| s.put_allocation(&allocation_key, run),
+                    || allocate(self.spec, scenario, &problem, wobs, self.batch),
+                ));
+                entry
+                    .allocations
+                    .push((scenario.allocator, Arc::clone(&run)));
+                run
+            });
+            let outcome = measure(self.spec, shell, &problem, &run, scratch, wobs, self.batch);
+            outcomes.push((i, outcome));
         }
-        scratch.demand.begin(lanes);
-        for (lane, (staged, _, _)) in scratch
-            .prefetch
-            .iter()
-            .filter(|(_, _, c)| *c == cores)
-            .enumerate()
-        {
-            scratch
-                .demand
-                .load_default_horizon(lane, &staged.rt_tasks, cores);
+        if let Some(carried) = self.carried {
+            carried
+                .lock()
+                .expect("carried entries poisoned")
+                .insert(key, entry);
         }
-        let verdicts = scratch.demand.check(cores);
-        stats.record_batch(lanes);
-        for (lane, (_, hash, _)) in scratch
-            .prefetch
-            .iter()
-            .filter(|(_, _, c)| *c == cores)
-            .enumerate()
-        {
-            memo.prefetch_feasibility(*hash, cores, verdicts[lane]);
-        }
+        outcomes
     }
-    wobs.add_batch_stats(&stats);
-    scratch.prefetch.clear();
 }
 
-/// Builds the scheme's real-time partition inline (one `partition_tasks`
-/// run, spanned and batch-counted). The cross-scheme partition memo that
-/// used to sit here was retired after measuring a < 0.1 % hit rate — the
-/// allocation memo upstream already dedups every repeat of a
-/// `(problem, scheme)` pair, so this closure runs at most once per allocator
-/// run anyway; see the "retired partition family" notes in `memo.rs`.
-fn partition_inline(
-    problem: &AllocationProblem,
-    rt_cores: usize,
-    wobs: &WorkerObs,
-    mode: BatchMode,
-) -> Result<rt_partition::Partition, AllocationError> {
-    let _span = wobs.tracer.span(PHASE_PARTITION);
-    let mut bstats = BatchStats::default();
-    let built = partition_tasks_with_mode(
-        &problem.rt_tasks,
-        rt_cores,
-        &problem.partition_config,
-        mode,
-        &mut bstats,
-    )
-    .map_err(|e| AllocationError::RtPartitionFailed {
-        task: e.task,
-        cores: rt_cores,
-    });
-    wobs.add_batch_stats(&bstats);
-    built
+/// The problem address of `scenario` under `spec`.
+fn problem_key(spec: &ScenarioSpec, scenario: &Scenario) -> ProblemKey {
+    let (utilization_bits, config_fingerprint) = match &spec.workload {
+        Workload::Synthetic(overrides) => (
+            scenario.utilization.map_or(0, f64::to_bits),
+            overrides.fingerprint(),
+        ),
+        Workload::CaseStudyUav => (0, CASE_STUDY_FINGERPRINT),
+    };
+    ProblemKey {
+        cores: scenario.cores,
+        utilization_bits,
+        base_seed: spec.base_seed,
+        stream: scenario.problem_stream,
+        config_fingerprint,
+    }
 }
 
-/// Runs the scenario's allocator against an inline real-time partition.
-/// Schemes other than SingleCore partition the full platform; SingleCore
-/// partitions `M − 1` cores and re-expresses the result over the full
-/// platform.
-fn allocate_shared(
+/// Generates the problem at `scenario`'s address (spanned).
+fn generate(spec: &ScenarioSpec, scenario: &Scenario, wobs: &WorkerObs) -> AllocationProblem {
+    let _span = wobs.tracer.span(PHASE_GENERATE);
+    match &spec.workload {
+        Workload::Synthetic(overrides) => generate_problem_seeded(
+            &overrides.config_for(scenario.cores),
+            scenario
+                .utilization
+                .expect("synthetic scenarios carry a utilization"),
+            spec.base_seed,
+            scenario.problem_stream,
+        ),
+        Workload::CaseStudyUav => AllocationProblem::new(
+            hydra_core::casestudy::uav_rt_tasks(),
+            hydra_core::catalog::table1_tasks(),
+            scenario.cores,
+        )
+        .with_partition_config(Workload::uav_partition_config()),
+    }
+}
+
+/// One allocator run of `scenario`'s scheme on `problem`, spanned, with the
+/// real-time partition built inline (one `partition_tasks` run, spanned and
+/// batch-counted). SingleCore partitions `M − 1` cores and re-expresses the
+/// result over the full platform; every other scheme partitions all `M`.
+/// Optimal runs its branch-and-bound through the stats-returning entry
+/// point (identical result) so the search counters reach the registry.
+fn allocate(
+    spec: &ScenarioSpec,
     scenario: &Scenario,
-    allocator: &dyn Allocator,
     problem: &AllocationProblem,
     wobs: &WorkerObs,
     mode: BatchMode,
 ) -> Result<Allocation, AllocationError> {
+    let _span = wobs.tracer.span(PHASE_ALLOCATE);
+    let allocator = scenario
+        .allocator
+        .build(problem.security_tasks.len(), &spec.workload);
     let single_core = scenario.allocator == AllocatorKind::SingleCore;
     if single_core && problem.cores < 2 {
         // Scheme-specific rejection; no partition is ever computed.
         return allocator.allocate(problem);
     }
-    let rt_cores = if single_core {
-        problem.cores - 1
-    } else {
-        problem.cores
+    let rt_cores = problem.cores - usize::from(single_core);
+    let partition = {
+        let _span = wobs.tracer.span(PHASE_PARTITION);
+        let mut bstats = BatchStats::default();
+        let built = partition_tasks_with_mode(
+            &problem.rt_tasks,
+            rt_cores,
+            &problem.partition_config,
+            mode,
+            &mut bstats,
+        );
+        wobs.add_batch_stats(&bstats);
+        built.map_err(|e| AllocationError::RtPartitionFailed {
+            task: e.task,
+            cores: rt_cores,
+        })?
     };
-    let partition = partition_inline(problem, rt_cores, wobs, mode)?;
-    if single_core {
-        let widened =
-            SingleCoreAllocator::widen_partition(&partition, problem.cores, problem.rt_tasks.len());
-        allocator.allocate_with_rt_partition(problem, &widened)
-    } else {
-        allocator.allocate_with_rt_partition(problem, &partition)
+    match scenario.allocator {
+        AllocatorKind::SingleCore => {
+            let widened = SingleCoreAllocator::widen_partition(
+                &partition,
+                problem.cores,
+                problem.rt_tasks.len(),
+            );
+            allocator.allocate_with_rt_partition(problem, &widened)
+        }
+        AllocatorKind::Optimal => {
+            let (allocation, stats) = OptimalAllocator::default()
+                .allocate_with_rt_partition_stats(problem, &partition)?;
+            wobs.add_search_stats(stats.visited, stats.pruned, stats.total);
+            Ok(allocation)
+        }
+        _ => allocator.allocate_with_rt_partition(problem, &partition),
     }
 }
 
-/// The Optimal scheme's allocation path: partitions inline exactly like
-/// [`allocate_shared`], but runs the branch-and-bound through its
-/// stats-returning entry point so the search counters flow onto the
-/// registry. The returned allocation is identical to the plain
-/// [`Allocator::allocate_with_rt_partition`] path.
-fn allocate_optimal(
-    problem: &AllocationProblem,
-    wobs: &WorkerObs,
-    mode: BatchMode,
-) -> Result<Allocation, AllocationError> {
-    let partition = partition_inline(problem, problem.cores, wobs, mode)?;
-    let (allocation, stats) =
-        OptimalAllocator::default().allocate_with_rt_partition_stats(problem, &partition)?;
-    wobs.add_search_stats(stats.visited, stats.pruned, stats.total);
-    Ok(allocation)
-}
-
+/// One feasible scenario's outcome from its scheme's allocator `run`:
+/// the period policy, then the metrics (and the detection simulation).
+/// `base` is the scenario's outcome shell (problem shape filled in).
 #[allow(clippy::too_many_arguments)]
-fn allocate_and_measure(
+fn measure(
     spec: &ScenarioSpec,
-    scenario: &Scenario,
-    problem_key: ProblemKey,
+    base: ScenarioOutcome,
     problem: &AllocationProblem,
-    memo: &MemoCache,
+    run: &SharedAllocation,
     scratch: &mut EvalScratch,
     wobs: &WorkerObs,
     mode: BatchMode,
 ) -> ScenarioOutcome {
+    let scenario = &base.scenario;
     let base = ScenarioOutcome {
-        scenario: *scenario,
         feasible: true,
-        schedulable: false,
-        error: None,
-        n_rt: problem.rt_tasks.len(),
-        n_sec: problem.security_tasks.len(),
-        total_utilization: problem.total_utilization(),
-        cumulative_tightness: None,
-        mean_tightness: None,
-        period_slack: None,
-        freq_ratio: None,
-        detection: None,
+        ..base
     };
-    // One placement search per (problem, scheme): scenarios differing only
-    // in the period policy share the allocator run through the memo.
-    let shared = memo.allocation(
-        AllocationKey {
-            problem: problem_key,
-            allocator: scenario.allocator,
-        },
-        || {
-            let _span = wobs.tracer.span(PHASE_ALLOCATE);
-            if scenario.allocator == AllocatorKind::Optimal {
-                // Routed through the stats-returning entry point (identical
-                // result) so the search counters reach the registry.
-                allocate_optimal(problem, wobs, mode)
-            } else {
-                let allocator = scenario
-                    .allocator
-                    .build(problem.security_tasks.len(), &spec.workload);
-                allocate_shared(scenario, &*allocator, problem, wobs, mode)
-            }
-        },
-    );
-    match shared.as_ref() {
+    match run.as_ref() {
         Ok(allocation) => {
             // The period-policy axis acts here: the scheme's placement is
             // kept, the granted periods are re-optimised (or not) before any
@@ -944,10 +978,9 @@ mod tests {
     #[test]
     fn allocator_axis_runs_one_allocation_per_scheme() {
         // Each scheme's placement search (with its inline `partition_tasks`)
-        // is its own allocation-memo entry: one miss per (problem, scheme),
-        // never a cross-scheme hit. This is the invariant that made the old
-        // cross-scheme partition memo dead weight — see memo.rs, "the
-        // retired partition family".
+        // runs once per (problem, scheme): one miss each, never a
+        // cross-scheme hit — which is why a cross-scheme partition cache
+        // would be dead weight.
         let mut spec = tiny_spec();
         spec.allocators = vec![AllocatorKind::Hydra, AllocatorKind::NpHydra];
         let (outcomes, summary) = run_session(SweepSession::new(spec).threads(1));
@@ -1228,6 +1261,45 @@ mod tests {
             assert_eq!(summary.evaluated(), 0);
             assert!(summary.partial.is_empty());
             assert!(sink.into_outcomes().is_empty());
+        }
+    }
+
+    #[test]
+    fn carried_runs_keep_units_local_on_slice_major_lists() {
+        // A frontier-shaped list: six allocator × policy slices, each over
+        // the same four utilizations × three trials, so every address
+        // recurs once per slice, twelve positions apart.
+        let list: Vec<Scenario> = (0..72)
+            .map(|index| Scenario {
+                index,
+                cores: 2,
+                utilization: Some([0.2, 0.4, 0.6, 0.8][index % 12 / 3]),
+                allocator: AllocatorKind::Hydra,
+                policy: crate::spec::PeriodPolicy::Fixed,
+                trial: index % 3,
+                problem_stream: (index % 12) as u64,
+            })
+            .collect();
+        let spans = |units: &Units| (0..units.units.len()).map(|u| units.span(u)).max();
+        // Without carried entries each group is a whole address, so a unit
+        // reaches across every slice.
+        let whole = Units::new(&list, true, false);
+        assert_eq!(whole.groups.len(), 12);
+        assert_eq!(spans(&whole), Some(68));
+        // With them each group is one contiguous run: units cover at most
+        // LANES adjacent positions, and every run after an address's first
+        // follows the run before it, in an earlier unit.
+        let runs = Units::new(&list, true, true);
+        assert_eq!(runs.groups.len(), 72);
+        assert_eq!(spans(&runs), Some(LANES));
+        for (g, follows) in runs.follows.iter().enumerate() {
+            assert_eq!(*follows, g.checked_sub(12), "group {g}");
+        }
+        for unit in &runs.units {
+            assert!(runs.follows[unit.clone()]
+                .iter()
+                .flatten()
+                .all(|&f| f < unit.start));
         }
     }
 

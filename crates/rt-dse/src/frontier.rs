@@ -15,8 +15,8 @@
 //!    within one exhaustive-grid step by construction. A probe's acceptance
 //!    ratio is `scheduled / feasible` over the spec's `trials`, and the
 //!    cliff threshold is `0.5`. Probe rounds are never emitted and never
-//!    checkpointed: they are cheap, deterministic, and simply replayed
-//!    (memo-warm) on resume.
+//!    checkpointed: they are cheap, deterministic, and simply replayed on
+//!    resume (answered from disk when the run has a `--store`).
 //! 2. **Phase B — emission.** A *refinement plan* — a pure function of the
 //!    final brackets — spends [`crate::spec::FrontierConfig::refine_budget`]
 //!    extra points per slice: half bracketing the cliff outward on the
@@ -36,9 +36,9 @@
 //! Problem streams are the **positional** ones the exhaustive grid assigns
 //! to the same `(cores, utilization, trial)` point, so every probe and
 //! emitted scenario evaluates exactly the task set an exhaustive sweep of
-//! the same spec would: Phase A warms the exact memo entries Phase B reads,
-//! the allocator/policy axes stay problem-paired, and the probed acceptance
-//! curve is a pointwise sample of the exhaustive curve. The emitted bytes
+//! the same spec would: Phase A carries the exact problem entries Phase B
+//! reads, the allocator/policy axes stay problem-paired, and the probed
+//! acceptance curve is a pointwise sample of the exhaustive curve. The emitted bytes
 //! are *not* expected to equal an exhaustive run's (scenario indices and
 //! emission order differ — the point is to evaluate far fewer scenarios);
 //! cliff-bracket agreement with a dense exhaustive reference is the
@@ -50,18 +50,20 @@
 //! a shard runs the contiguous scenario range of its slice subset
 //! ([`FrontierPlan::shard_scenario_range`]) and shard outputs concatenate
 //! byte-identically, exactly like exhaustive shards. Resume re-derives the
-//! plan (Phase A replays against the warm memo store) and continues Phase B
-//! from the checkpointed index; the checkpoint's `plan_points` header pins
-//! the plan length so a diverging plan is rejected instead of spliced.
+//! plan (Phase A replays, against the warm memo store if one is attached)
+//! and continues Phase B from the checkpointed index; the checkpoint's
+//! `plan_points` header pins the plan length so a diverging plan is
+//! rejected instead of spliced.
 
 use std::collections::BTreeMap;
 use std::ops::Range;
+use std::sync::Mutex;
 use std::time::Duration;
 
 use crate::agg::SweepAccumulator;
 use crate::api::{SweepHandle, SweepSession};
 use crate::exec::{self, shard_range, StreamSummary};
-use crate::memo::MemoCache;
+use crate::memo::{CarriedEntries, MemoStats};
 use crate::scenario::Scenario;
 use crate::sink::{OutcomeSink, VecSink};
 use crate::spec::{AllocatorKind, ExploreMode, FrontierConfig, PeriodPolicy, ScenarioSpec};
@@ -157,8 +159,8 @@ pub struct FrontierRow {
 }
 
 /// The deterministic product of Phase A: per-slice cliff brackets plus the
-/// flat Phase-B scenario list. Derivable from the spec alone (plus the warm
-/// memo), so resume and sharding recompute it instead of persisting it.
+/// flat Phase-B scenario list. Derivable from the spec alone, so resume and
+/// sharding recompute it instead of persisting it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FrontierPlan {
     /// Per-slice search results, in spec order
@@ -337,18 +339,23 @@ impl SliceSearch {
 
 /// The frontier-mode driver: holds one [`SweepSession`] — its threads,
 /// kernel mode, observability, store and handle apply to every probe round
-/// and to the emission — plus the memo the two phases share, and exposes
-/// [`FrontierRunner::plan`] (Phase A) and [`FrontierRunner::run`]
-/// (Phase B). The session's `range` builder is ignored — frontier ranges
-/// are plan-relative ([`FrontierPlan::shard_scenario_range`]).
+/// and to the emission — plus the problem entries the two phases share,
+/// and exposes [`FrontierRunner::plan`] (Phase A) and
+/// [`FrontierRunner::run`] (Phase B). The session's `range` builder is
+/// ignored — frontier ranges are plan-relative
+/// ([`FrontierPlan::shard_scenario_range`]).
 #[derive(Debug)]
 pub struct FrontierRunner {
     session: SweepSession,
     config: FrontierConfig,
-    /// Shared by every probe round and the emission phase, so Phase A warms
-    /// exactly the entries Phase B reads. Cumulative counters: a summary's
-    /// [`StreamSummary::memo`] covers everything up to that point.
-    memo: MemoCache,
+    /// Each problem address's problem, Eq. (1) verdict and allocator runs,
+    /// carried from every probe round into the next run, so Phase B reads
+    /// exactly what Phase A produced.
+    carried: CarriedEntries,
+    /// The reuse counters of every run so far (a summary's
+    /// [`StreamSummary::memo`] covers everything up to that point) and the
+    /// worker count of the latest run.
+    runs: Mutex<(MemoStats, usize)>,
 }
 
 impl FrontierRunner {
@@ -362,9 +369,10 @@ impl FrontierRunner {
             ExploreMode::Exhaustive => FrontierConfig::default(),
         };
         FrontierRunner {
-            memo: session.memo_cache(),
             session,
             config,
+            carried: CarriedEntries::default(),
+            runs: Mutex::default(),
         }
     }
 
@@ -513,14 +521,9 @@ impl FrontierRunner {
             }
         }
         let mut sink = VecSink::new();
-        let summary = exec::stream(
-            &self.session,
-            &scenarios,
-            0..scenarios.len(),
-            Some(&self.memo),
-            &mut sink,
-        )
-        .expect("a VecSink never raises I/O errors");
+        let summary = self
+            .stream(&scenarios, 0..scenarios.len(), &mut sink)
+            .expect("a VecSink never raises I/O errors");
         if summary.cancelled {
             return None;
         }
@@ -541,9 +544,25 @@ impl FrontierRunner {
         )
     }
 
+    /// Streams `scenarios[range]` with the carried entries, folding the
+    /// run's reuse counters into the runner's cumulative ones and recording
+    /// its worker count.
+    fn stream(
+        &self,
+        scenarios: &[Scenario],
+        range: Range<usize>,
+        sink: &mut dyn OutcomeSink,
+    ) -> std::io::Result<StreamSummary> {
+        let mut summary = exec::stream(&self.session, scenarios, range, Some(&self.carried), sink)?;
+        let mut runs = self.runs.lock().expect("run totals poisoned");
+        *runs = (runs.0.merged(&summary.memo), summary.threads);
+        summary.memo = runs.0;
+        Ok(summary)
+    }
+
     /// Phase B: streams the plan's scenarios in `range` (clamped) into
     /// `sink` in plan order with full parallelism — the shard/resume entry
-    /// point. [`StreamSummary::memo`] reports the shared memo's cumulative
+    /// point. [`StreamSummary::memo`] reports the runner's cumulative
     /// counters (probe rounds included).
     ///
     /// # Errors
@@ -555,18 +574,12 @@ impl FrontierRunner {
         range: Range<usize>,
         sink: &mut dyn OutcomeSink,
     ) -> std::io::Result<StreamSummary> {
-        exec::stream(
-            &self.session,
-            &plan.scenarios,
-            range,
-            Some(&self.memo),
-            sink,
-        )
+        self.stream(&plan.scenarios, range, sink)
     }
 
     /// Convenience: Phase A then the full Phase B. A cancellation during
     /// Phase A returns the cancelled plan with an empty summary (nothing
-    /// was emitted).
+    /// was emitted) reporting the cancelled probe round's worker count.
     ///
     /// # Errors
     ///
@@ -577,14 +590,15 @@ impl FrontierRunner {
     ) -> std::io::Result<(FrontierPlan, StreamSummary)> {
         let plan = self.plan();
         if plan.cancelled {
+            let (memo, threads) = *self.runs.lock().expect("run totals poisoned");
             let summary = StreamSummary {
                 name: self.spec().name.clone(),
                 grid_len: plan.len(),
                 range: 0..0,
                 partial: SweepAccumulator::new(),
-                memo: self.memo.stats(),
+                memo,
                 elapsed: Duration::ZERO,
-                threads: self.session.threads.max(1),
+                threads,
                 cancelled: true,
             };
             return Ok((plan, summary));
@@ -725,20 +739,37 @@ mod tests {
 
     #[test]
     fn emission_is_byte_identical_across_thread_counts() {
-        let reference_plan = runner(1).plan();
+        let reference_runner = runner(1);
+        let reference_plan = reference_runner.plan();
         let mut reference = JsonlSink::new(Vec::new());
-        runner(1)
+        let reference_memo = reference_runner
             .run(&reference_plan, 0..reference_plan.len(), &mut reference)
-            .unwrap();
+            .unwrap()
+            .memo;
         let reference = reference.into_inner();
         assert!(!reference.is_empty());
+        // Phase A probes only points Phase B emits, so every problem address
+        // of the run is one of the plan's and is generated exactly once.
+        let addresses: std::collections::BTreeSet<(usize, u64, u64)> = reference_plan
+            .scenarios
+            .iter()
+            .map(|s| {
+                (
+                    s.cores,
+                    s.utilization.map_or(0, f64::to_bits),
+                    s.problem_stream,
+                )
+            })
+            .collect();
         for threads in [2, 4] {
             let r = runner(threads);
             let plan = r.plan();
             let mut sink = JsonlSink::new(Vec::new());
-            r.run(&plan, 0..plan.len(), &mut sink).unwrap();
+            let memo = r.run(&plan, 0..plan.len(), &mut sink).unwrap().memo;
             assert_eq!(sink.into_inner(), reference, "threads={threads}");
+            assert_eq!(memo, reference_memo, "threads={threads}");
         }
+        assert_eq!(reference_memo.problem_misses, addresses.len() as u64);
     }
 
     #[test]
@@ -857,16 +888,29 @@ mod tests {
 
     #[test]
     fn cancelled_plans_refuse_emission() {
-        let session = SweepSession::new(frontier_spec());
-        let handle = session.handle();
-        let r = FrontierRunner::new(session);
-        handle.cancel();
-        let mut sink = VecSink::new();
-        let (plan, summary) = r.explore(&mut sink).unwrap();
-        assert!(plan.cancelled);
-        assert!(summary.cancelled);
-        assert_eq!(summary.evaluated(), 0);
-        assert!(sink.outcomes().is_empty());
+        // Two core counts of one slice each: the cancelled round 0 probes
+        // two endpoints × four trials per core count, eight distinct
+        // addresses that fill one work unit (units never mix core counts),
+        // so it resolves to at most two workers.
+        let mut spec = frontier_spec();
+        spec.cores = vec![2, 4];
+        spec.allocators = vec![AllocatorKind::Hydra];
+        let machine = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+        for (threads, resolved) in [(0, machine.min(2)), (1, 1), (4, 2)] {
+            let session = SweepSession::new(spec.clone()).threads(threads);
+            let handle = session.handle();
+            let r = FrontierRunner::new(session);
+            handle.cancel();
+            let mut sink = VecSink::new();
+            let (plan, summary) = r.explore(&mut sink).unwrap();
+            assert!(plan.cancelled);
+            assert!(summary.cancelled);
+            assert_eq!(summary.evaluated(), 0);
+            assert!(sink.outcomes().is_empty());
+            // The cancelled summary reports the resolved worker count, not
+            // the requested one.
+            assert_eq!(summary.threads, resolved, "threads({threads})");
+        }
     }
 
     #[test]

@@ -14,13 +14,16 @@
 //! * [`SweepSession`](api::SweepSession) — the one engine entry point: a
 //!   builder over threads, kernel mode, observability, persistent
 //!   [`MemoStore`](store::MemoStore) and grid range whose run is a
-//!   self-balancing worker pool (pulling from a shared cursor) with results
-//!   independent of thread count and evaluation order. Outcomes reach an
-//!   [`OutcomeSink`](sink::OutcomeSink) in grid order through a reorder
-//!   buffer, so memory stays O(threads + reorder window) instead of O(grid),
-//!   and a per-run memo caches generated problems, Eq. (1) feasibility
-//!   verdicts and allocator runs, so the allocator/policy axes never
-//!   regenerate or re-solve the same point,
+//!   self-balancing worker pool (pulling work units from a shared cursor)
+//!   with results independent of thread count and evaluation order. A work
+//!   unit holds whole *problem groups* — every scenario of one
+//!   `(cores, utilization, trial)` address — so each problem is generated
+//!   once, its Eq. (1) verdict decided once and each allocator run once,
+//!   and the allocator/policy axes never regenerate or re-solve the same
+//!   point. Outcomes reach an [`OutcomeSink`](sink::OutcomeSink) in grid
+//!   order through a reorder buffer, so memory stays O(reorder window + one
+//!   unit's span) instead of O(grid) — on frontier lists too, where a
+//!   group is one contiguous run of its address,
 //! * [`FrontierRunner`](frontier::FrontierRunner) — the adaptive
 //!   exploration mode: per-slice bisection for the acceptance cliff plus a
 //!   deterministic refinement plan, replacing exhaustive utilization grids,

@@ -15,9 +15,10 @@
 //! | name | meaning |
 //! |------|---------|
 //! | `sweep.scenarios_done` | scenarios fully evaluated |
-//! | `sweep.backpressure_waits` | times a worker blocked on the reorder window |
+//! | `sweep.backpressure_waits` | times a worker blocked on the reorder window (or on an unfinished earlier run of a frontier address) |
 //! | `sweep.backpressure_wait_ns` | total time workers spent blocked |
-//! | `memo.{problem,feasibility,allocation}_{hits,misses}` | memo cache traffic |
+//! | `memo.{problem,feasibility,allocation}_{hits,misses}` | reuse within problem groups (and across frontier rounds); exact at any thread count |
+//! | `memo.store_{hits,misses,write_errors}` | persistent-store traffic |
 //! | `sim.{releases,completions,truncated,preemptions,idle_jumps}` | simulator scheduling events |
 //! | `optimal.{visited,pruned,total}` | branch-and-bound search statistics |
 //! | `batch.scalar_fallbacks` | analyses the batch kernels handed back to the scalar path |
@@ -25,7 +26,9 @@
 //!
 //! Gauges: `drain.reorder_depth` — outcomes parked in the reorder buffer.
 //!
-//! Histograms: `sweep.scenario_ns` — per-scenario evaluation latency;
+//! Histograms: `sweep.scenario_ns` — each scenario's share of its work
+//! unit's evaluation time (the unit's time, sink drain excluded, divided
+//! evenly over its scenarios);
 //! `batch.lanes_filled` — occupied lanes per batch-kernel dispatch.
 //!
 //! # Trace tracks
@@ -39,6 +42,8 @@ use std::time::Duration;
 use rt_obs::{Counter, Histogram, PhaseRow, Registry, ShardHandle, Tracer, WorkerTracer};
 use rt_sim::SimStats;
 
+use crate::memo::MemoStats;
+
 /// The per-scenario phases, in canonical order. Indices into this slice are
 /// the `PHASE_*` constants.
 pub const PHASES: &[&str] = &[
@@ -51,11 +56,11 @@ pub const PHASES: &[&str] = &[
     "checkpoint",
 ];
 
-/// Task-set generation (a problem-memo miss).
+/// Task-set generation (a problem miss).
 pub const PHASE_GENERATE: usize = 0;
-/// Real-time partitioning (a partition-memo miss; nests inside `allocate`).
+/// Real-time partitioning (nests inside `allocate`).
 pub const PHASE_PARTITION: usize = 1;
-/// The placement search (an allocation-memo miss).
+/// The placement search (an allocation miss).
 pub const PHASE_ALLOCATE: usize = 2;
 /// Period re-optimisation of the period-policy axis.
 pub const PHASE_PERIOD_POLICY: usize = 3;
@@ -67,7 +72,7 @@ pub const PHASE_SINK: usize = 5;
 pub const PHASE_CHECKPOINT: usize = 6;
 
 /// The registry shard / trace track used for engine-level recording that
-/// belongs to no worker (the memo cache, checkpoint writes).
+/// belongs to no worker (the reorder-buffer gauge, checkpoint writes).
 pub const ENGINE_TRACK: usize = usize::MAX;
 
 /// The observability bundle of one sweep: a metrics [`Registry`] plus a
@@ -130,7 +135,7 @@ impl SweepObs {
 
     /// The merged per-phase time table, in [`PHASES`] order (empty when
     /// tracing is off). `allocate` rows include the `partition` time nested
-    /// inside them on a memo miss.
+    /// inside them.
     #[must_use]
     pub fn phase_rows(&self) -> Vec<PhaseRow> {
         self.tracer.phase_rows()
@@ -236,6 +241,25 @@ impl WorkerObs {
         }
     }
 
+    /// Adds a work unit's reuse counts to the `memo.*` counters, so the
+    /// live heartbeat sees them as units finish.
+    pub(crate) fn add_memo_stats(&self, m: &MemoStats) {
+        let s = &self.shard;
+        for (counter, count) in [
+            (s.counter("memo.problem_hits"), m.problem_hits),
+            (s.counter("memo.problem_misses"), m.problem_misses),
+            (s.counter("memo.feasibility_hits"), m.feasibility_hits),
+            (s.counter("memo.feasibility_misses"), m.feasibility_misses),
+            (s.counter("memo.allocation_hits"), m.allocation_hits),
+            (s.counter("memo.allocation_misses"), m.allocation_misses),
+            (s.counter("memo.store_hits"), m.store_hits),
+            (s.counter("memo.store_misses"), m.store_misses),
+            (s.counter("memo.store_write_errors"), m.store_write_errors),
+        ] {
+            counter.add(count);
+        }
+    }
+
     /// Records one scenario's evaluation latency (`sweep.scenario_ns`) and
     /// bumps `sweep.scenarios_done`.
     pub fn record_scenario(&self, elapsed: Option<Duration>) {
@@ -310,6 +334,37 @@ mod tests {
         assert_eq!(snap.histograms["batch.lanes_filled"].count, 2);
         assert_eq!(snap.histograms["sweep.scenario_ns"].count, 1);
         assert!(obs.phase_rows().is_empty());
+    }
+
+    #[test]
+    fn memo_counters_mirror_their_own_fields() {
+        let obs = SweepObs::new(true, false);
+        obs.worker(0).add_memo_stats(&MemoStats {
+            problem_hits: 1,
+            problem_misses: 2,
+            feasibility_hits: 3,
+            feasibility_misses: 4,
+            allocation_hits: 5,
+            allocation_misses: 6,
+            store_hits: 7,
+            store_misses: 8,
+            store_write_errors: 9,
+        });
+        let snap = obs.registry().snapshot();
+        let names = [
+            "memo.problem_hits",
+            "memo.problem_misses",
+            "memo.feasibility_hits",
+            "memo.feasibility_misses",
+            "memo.allocation_hits",
+            "memo.allocation_misses",
+            "memo.store_hits",
+            "memo.store_misses",
+            "memo.store_write_errors",
+        ];
+        for (count, name) in (1..).zip(names) {
+            assert_eq!(snap.counter(name), count, "{name}");
+        }
     }
 
     #[test]

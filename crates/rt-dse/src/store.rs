@@ -1,8 +1,8 @@
 //! The persistent, content-addressed memo store.
 //!
-//! [`MemoStore`] globalizes the three per-run memo families of a sweep's
-//! in-memory cache — generated problems, Eq. (1) feasibility verdicts
-//! and allocator runs — into an on-disk key/value store shared by every run
+//! [`MemoStore`] persists the three values a sweep's problem groups
+//! produce — generated problems, Eq. (1) feasibility verdicts and
+//! allocator runs — in an on-disk key/value store shared by every run
 //! that opens the same directory: the `dse` CLI, the `dse-serve` server, and
 //! any embedder of [`crate::api::SweepSession`]. A second identical (or
 //! overlapping) sweep pays only for the points nobody has evaluated before.
@@ -57,9 +57,9 @@ const STORE_MAGIC: &str = "dse-memo-store v1";
 /// The per-entry version header (first line of every entry file).
 const ENTRY_MAGIC: &str = "dse-memo-entry v1";
 
-/// FNV-1a over a byte string — the same structural hash family the memo
-/// keys already use, applied to rendered key lines (content addressing) and
-/// entry bytes (the corruption checksum).
+/// FNV-1a over a byte string — the same structural hash family
+/// [`crate::memo::hash_taskset`] uses, applied to rendered key lines
+/// (content addressing) and entry bytes (the corruption checksum).
 fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
@@ -69,8 +69,9 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// A persistent, content-addressed, corruption-tolerant store for the three
-/// memo families. See the module docs for the layout and durability story.
+/// A persistent, content-addressed, corruption-tolerant store for problems,
+/// Eq. (1) verdicts and allocator runs. See the module docs for the layout
+/// and durability story.
 ///
 /// All methods take `&self`; a single store (typically behind an `Arc`) is
 /// safely shared by concurrent readers and writers — atomicity comes from

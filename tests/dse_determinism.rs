@@ -11,14 +11,20 @@
 //!   thread count.
 
 use hydra_repro::dse::sink::{outcome_to_csv_row, outcome_to_json, summary_to_csv, CSV_HEADER};
-use hydra_repro::dse::{prelude::*, AggregateRow, TeeSink};
+use hydra_repro::dse::{prelude::*, AggregateRow, MemoStats, TeeSink};
 use proptest::prelude::*;
 
 /// Runs `session`, buffering every outcome in grid order.
 fn collect(session: SweepSession) -> Vec<ScenarioOutcome> {
+    collect_with_memo(session).0
+}
+
+/// Runs `session`, buffering every outcome in grid order, and returns the
+/// run's reuse counters with them.
+fn collect_with_memo(session: SweepSession) -> (Vec<ScenarioOutcome>, MemoStats) {
     let mut sink = VecSink::new();
-    session.run(&mut sink).expect("a VecSink never fails");
-    sink.into_outcomes()
+    let summary = session.run(&mut sink).expect("a VecSink never fails");
+    (sink.into_outcomes(), summary.memo)
 }
 
 /// Runs `spec` on `threads` workers, buffering every outcome in grid order.
@@ -256,8 +262,8 @@ fn a_killed_and_resumed_run_is_byte_identical_to_one_full_sweep() {
 fn three_policy_paired_sweeps_are_byte_identical_across_thread_counts() {
     // The acceptance property of the period-policy axis: a paired
     // fixed/adapt/joint sweep serializes to the identical bytes no matter
-    // how many workers evaluate it, and the policy variants of every point
-    // share their problem instance.
+    // how many workers evaluate it, the policy variants of every point
+    // share their problem instance, and the reuse counters are exact.
     let mut spec = ScenarioSpec::synthetic("policy-paired");
     spec.cores = vec![2, 4];
     spec.utilizations = UtilizationGrid::NormalizedSteps(3);
@@ -268,9 +274,10 @@ fn three_policy_paired_sweeps_are_byte_identical_across_thread_counts() {
         PeriodPolicy::Joint,
     ];
     spec.trials = 2;
-    let serial = run(&spec, 1);
+    let (serial, serial_memo) = collect_with_memo(SweepSession::new(spec.clone()).threads(1));
     for threads in [2usize, 4] {
-        let parallel = run(&spec, threads);
+        let (parallel, memo) = collect_with_memo(SweepSession::new(spec.clone()).threads(threads));
+        assert_eq!(memo, serial_memo, "memo counters at {threads} threads");
         assert_eq!(to_jsonl(&serial), to_jsonl(&parallel));
         assert_eq!(to_csv(&serial), to_csv(&parallel));
         assert_eq!(
@@ -296,8 +303,8 @@ fn three_policy_paired_sweeps_are_byte_identical_across_thread_counts() {
 fn batched_and_scalar_kernels_stream_identical_bytes() {
     // The batch-kernel contract, pinned: switching the engine between the
     // 8-lane structure-of-arrays kernels (the default) and the scalar
-    // oracles never changes an output byte — across the full allocator and
-    // period-policy axes, at any thread count.
+    // oracles never changes an output byte — nor a reuse counter — across
+    // the full allocator and period-policy axes, at any thread count.
     let mut spec = ScenarioSpec::synthetic("batch-identity");
     spec.cores = vec![2, 4];
     spec.utilizations = UtilizationGrid::NormalizedSteps(3);
@@ -313,7 +320,7 @@ fn batched_and_scalar_kernels_stream_identical_bytes() {
     ];
     spec.trials = 2;
 
-    let scalar = collect(
+    let (scalar, scalar_memo) = collect_with_memo(
         SweepSession::new(spec.clone())
             .threads(1)
             .batch_mode(BatchMode::Scalar),
@@ -324,12 +331,13 @@ fn batched_and_scalar_kernels_stream_identical_bytes() {
 
     for threads in [1usize, 2, 4] {
         for mode in [BatchMode::Batch, BatchMode::Scalar] {
-            let run = collect(
+            let (run, memo) = collect_with_memo(
                 SweepSession::new(spec.clone())
                     .threads(threads)
                     .batch_mode(mode),
             );
             let label = format!("threads={threads} mode={mode:?}");
+            assert_eq!(memo, scalar_memo, "memo counters differ with {label}");
             assert_eq!(to_jsonl(&run), scalar_jsonl, "JSONL differs with {label}");
             assert_eq!(to_csv(&run), scalar_csv, "CSV differs with {label}");
             assert_eq!(
