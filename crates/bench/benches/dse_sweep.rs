@@ -187,18 +187,6 @@ fn bench_gate(_c: &mut Criterion) {
     let ratio = baseline.map(|b| scenarios_per_sec / b);
     let pass = floor.is_none_or(|f| scenarios_per_sec >= f);
 
-    // Batch-kernel lane occupancy from the instrumented run: the engine
-    // packs up to eight same-cores problem groups into one work unit so the
-    // Eq. (1) pass fills these lanes, and the gate record surfaces the mean
-    // occupancy and the scalar fallback count as first-class fields (the
-    // full histogram stays inside the embedded metrics document).
-    let snapshot = obs.registry().snapshot();
-    let mean_lanes_filled = snapshot
-        .histograms
-        .get("batch.lanes_filled")
-        .and_then(|h| h.mean());
-    let scalar_fallbacks = snapshot.counter("batch.scalar_fallbacks");
-
     let json = BenchRecord::new("dse_sweep")
         .int("grid_size", grid_size as u128)
         .int("threads", threads as u128)
@@ -208,8 +196,6 @@ fn bench_gate(_c: &mut Criterion) {
         .opt("baseline_scenarios_per_sec", baseline, 1)
         .opt("gate_floor_scenarios_per_sec", floor, 1)
         .opt("measured_vs_baseline_ratio", ratio, 3)
-        .opt("batch_mean_lanes_filled", mean_lanes_filled, 3)
-        .int("batch_scalar_fallbacks", u128::from(scalar_fallbacks))
         .metrics(&obs.metrics_json())
         .finish(pass);
     let out_path = std::env::var("BENCH_SWEEP_JSON")

@@ -24,11 +24,9 @@
 //! approaching the true joint optimum closely for the small task counts used
 //! in that experiment.
 
-use rt_core::batch::{BatchMode, LANES};
 use rt_core::Time;
 
 use crate::allocation::{Allocation, AllocationProblem, SecurityPlacement};
-use crate::batch::LaneBounds;
 use crate::interference::{rt_interference_on, InterferenceBound};
 use crate::security::SecurityTask;
 
@@ -128,91 +126,106 @@ fn weighted_tightness(tasks: &[&SecurityTask], periods: &[f64]) -> f64 {
         .sum()
 }
 
-/// Lane-batched candidate scan for the coordinate-ascent refinement of task
-/// `i`: evaluates the log-spaced grid in [`LANES`]-wide chunks, each lane
+/// Candidate periods the grid scan keeps in flight at once (one per chunk
+/// measured 13 % more CPU on a joint-only synthetic sweep).
+const CHUNK: usize = 8;
+
+/// The candidate scan of the coordinate-ascent refinement for task `i`:
+/// evaluates the log-spaced grid in [`CHUNK`]-wide chunks, each candidate
 /// re-greedifying the lower-priority suffix against its own running
-/// [`LaneBounds`] accumulator.
+/// [`InterferenceBound`]. Walking the suffix once per chunk rather than
+/// once per candidate keeps each suffix task's bounds and solver inputs
+/// hot across the chunk.
 ///
-/// Bit-identity with the scalar scan: `prefix_bound` already folded rows
-/// `0..i` minus the candidate, so seeding every lane from it and then adding
-/// row `i` (the lane's candidate) followed by the suffix rows in order
-/// replays exactly the `f64` sequence `regreedify_suffix` rebuilds per row.
-/// Likewise the objective is accumulated as the same left fold
+/// Bit-identity with re-greedifying one candidate at a time
+/// ([`regreedify_suffix`] plus [`weighted_tightness`]): `grid.prefix`
+/// already folded rows `0..i`, so seeding every candidate's bound from it
+/// and then adding row `i` (the candidate) followed by the suffix rows in
+/// order replays exactly the `f64` sequence `regreedify_suffix` rebuilds per
+/// row. Likewise the objective is accumulated as the same left fold
 /// `weighted_tightness` computes: shared prefix sum, then rows `i..` in
 /// order. Candidate values do not depend on the running `best`, so folding
-/// lane verdicts in ascending grid order reproduces the scalar acceptance.
+/// verdicts in ascending grid order reproduces one-at-a-time acceptance.
 ///
 /// Returns `Some((new_best, best_candidate))` when some candidate improves on
 /// `best` by more than the tolerance.
-#[allow(clippy::too_many_arguments)]
-fn scan_grid_batched(
-    tasks: &[&SecurityTask],
-    prefix_bound: &InterferenceBound,
-    periods: &[f64],
-    i: usize,
-    lo: f64,
-    ratio: f64,
-    options: &JointOptions,
-    best: f64,
-) -> Option<(f64, f64)> {
+fn scan_grid(tasks: &[&SecurityTask], grid: &Grid<'_>) -> Option<(f64, f64)> {
+    let (periods, i, options) = (grid.periods, grid.task, grid.options);
     let task = tasks[i];
     let mut prefix_value = 0.0;
     for j in 0..i {
         prefix_value += tasks[j].weight() * tasks[j].tightness(Time::from_ticks(periods[j] as u64));
     }
-    let mut best = best;
+    let mut best = grid.best;
     let mut best_candidate = 0.0;
     let mut improved = false;
     let mut g0 = 0;
     while g0 < options.grid_points {
-        let lanes = (options.grid_points - g0).min(LANES);
-        let mut bounds = LaneBounds::splat(prefix_bound);
-        let mut feasible = [true; LANES];
-        let mut value = [0.0f64; LANES];
-        let mut cand = [0.0f64; LANES];
-        for (lane, (v, c)) in value
-            .iter_mut()
-            .zip(cand.iter_mut())
-            .enumerate()
-            .take(lanes)
-        {
-            let g = g0 + lane;
-            let frac = g as f64 / (options.grid_points - 1) as f64;
-            *c = (lo * ratio.powf(frac)).ceil();
-            let granted = Time::from_ticks(*c as u64);
-            bounds.add_task(lane, task.wcet(), granted);
-            *v = prefix_value + task.weight() * task.tightness(granted);
+        let width = (options.grid_points - g0).min(CHUNK);
+        let mut bounds = [grid.prefix; CHUNK];
+        let mut feasible = [true; CHUNK];
+        let mut value = [0.0f64; CHUNK];
+        let mut cand = [0.0f64; CHUNK];
+        for k in 0..width {
+            cand[k] = grid.candidate(g0 + k);
+            let granted = Time::from_ticks(cand[k] as u64);
+            bounds[k].add_task(task.wcet(), granted);
+            value[k] = prefix_value + task.weight() * task.tightness(granted);
         }
         for &lp in &tasks[i + 1..] {
             let lower = lp.desired_period().as_ticks() as f64;
             let upper = lp.max_period().as_ticks() as f64;
             let base_a = lp.wcet().as_ticks() as f64;
-            for lane in 0..lanes {
-                if !feasible[lane] {
+            for k in 0..width {
+                if !feasible[k] {
                     continue;
                 }
-                let a = base_a + bounds.constant[lane];
-                let b = bounds.slope[lane];
+                let a = base_a + bounds[k].constant;
+                let b = bounds[k].slope;
                 match gp_solver::scalar::minimize_linear_fractional(lower, upper, a, b).value() {
                     Some(p) => {
                         let granted = Time::from_ticks(p.ceil() as u64);
-                        bounds.add_task(lane, lp.wcet(), granted);
-                        value[lane] += lp.weight() * lp.tightness(granted);
+                        bounds[k].add_task(lp.wcet(), granted);
+                        value[k] += lp.weight() * lp.tightness(granted);
                     }
-                    None => feasible[lane] = false,
+                    None => feasible[k] = false,
                 }
             }
         }
-        for lane in 0..lanes {
-            if feasible[lane] && value[lane] > best + options.improvement_tolerance {
-                best = value[lane];
-                best_candidate = cand[lane];
+        for k in 0..width {
+            if feasible[k] && value[k] > best + options.improvement_tolerance {
+                best = value[k];
+                best_candidate = cand[k];
                 improved = true;
             }
         }
-        g0 += lanes;
+        g0 += width;
     }
     improved.then_some((best, best_candidate))
+}
+
+/// One task's candidate grid in the coordinate-ascent refinement: the
+/// current period vector, the task being stretched, and its log-spaced
+/// candidate range `lo · ratio^frac`.
+struct Grid<'a> {
+    /// The core's real-time interference with the tasks above the
+    /// stretched one folded in.
+    prefix: InterferenceBound,
+    periods: &'a [f64],
+    task: usize,
+    lo: f64,
+    ratio: f64,
+    options: &'a JointOptions,
+    /// The objective any accepted candidate must beat.
+    best: f64,
+}
+
+impl Grid<'_> {
+    /// The `g`-th candidate period (ticks, rounded up).
+    fn candidate(&self, g: usize) -> f64 {
+        let frac = g as f64 / (self.options.grid_points - 1) as f64;
+        (self.lo * self.ratio.powf(frac)).ceil()
+    }
 }
 
 /// Jointly optimises the periods of `tasks` (priority order, highest first)
@@ -227,23 +240,16 @@ pub fn optimize_core_periods(
     rt_bound: &InterferenceBound,
     options: &JointOptions,
 ) -> Option<CorePlan> {
-    optimize_core_periods_with_mode(tasks, rt_bound, options, BatchMode::Batch)
+    optimize_with(tasks, rt_bound, options, scan_grid)
 }
 
-/// [`optimize_core_periods`] with an explicit kernel mode.
-///
-/// [`BatchMode::Scalar`] runs the one-candidate-at-a-time reference loop and
-/// serves as the differential oracle; [`BatchMode::Batch`] evaluates the
-/// candidate grid in [`LANES`]-wide chunks with structure-of-arrays
-/// [`LaneBounds`]. Both modes produce bit-identical plans: every lane
-/// performs the same `f64` operations in the same order as the scalar
-/// rebuild for the same candidate.
-#[must_use]
-pub fn optimize_core_periods_with_mode(
+/// [`optimize_core_periods`] over a given candidate scan, which returns the
+/// improved objective and the accepted candidate, if any.
+fn optimize_with(
     tasks: &[&SecurityTask],
     rt_bound: &InterferenceBound,
     options: &JointOptions,
-    mode: BatchMode,
+    scan: impl Fn(&[&SecurityTask], &Grid<'_>) -> Option<(f64, f64)>,
 ) -> Option<CorePlan> {
     if tasks.is_empty() {
         return Some(CorePlan {
@@ -281,40 +287,18 @@ pub fn optimize_core_periods_with_mode(
                 if hi <= lo {
                     continue;
                 }
-                let ratio = hi / lo;
-                let mut improved_here = false;
-                let mut best_candidate = periods[i];
-                match mode {
-                    BatchMode::Scalar => {
-                        let mut scratch = periods.clone();
-                        for g in 0..options.grid_points {
-                            let frac = g as f64 / (options.grid_points - 1) as f64;
-                            let candidate = (lo * ratio.powf(frac)).ceil();
-                            scratch.copy_from_slice(&periods);
-                            scratch[i] = candidate;
-                            if !regreedify_suffix(tasks, rt_bound, &mut scratch, i + 1) {
-                                continue;
-                            }
-                            let value = weighted_tightness(tasks, &scratch);
-                            if value > best + options.improvement_tolerance {
-                                best = value;
-                                best_candidate = candidate;
-                                improved_here = true;
-                            }
-                        }
-                    }
-                    BatchMode::Batch => {
-                        if let Some((new_best, candidate)) =
-                            scan_grid_batched(tasks, &bound, &periods, i, lo, ratio, options, best)
-                        {
-                            best = new_best;
-                            best_candidate = candidate;
-                            improved_here = true;
-                        }
-                    }
-                }
-                if improved_here {
-                    periods[i] = best_candidate;
+                let grid = Grid {
+                    prefix: bound,
+                    periods: &periods,
+                    task: i,
+                    lo,
+                    ratio: hi / lo,
+                    options,
+                    best,
+                };
+                if let Some((new_best, candidate)) = scan(tasks, &grid) {
+                    best = new_best;
+                    periods[i] = candidate;
                     let ok = regreedify_suffix(tasks, rt_bound, &mut periods, i + 1);
                     debug_assert!(ok, "accepted candidate must keep the suffix feasible");
                 }
@@ -359,19 +343,6 @@ pub fn readapt_allocation(
     allocation: &Allocation,
     options: &JointOptions,
 ) -> Allocation {
-    readapt_allocation_with_mode(problem, allocation, options, BatchMode::Batch)
-}
-
-/// [`readapt_allocation`] with an explicit kernel mode for the per-core
-/// joint optimisation — see [`optimize_core_periods_with_mode`]. Both modes
-/// produce bit-identical allocations.
-#[must_use]
-pub fn readapt_allocation_with_mode(
-    problem: &AllocationProblem,
-    allocation: &Allocation,
-    options: &JointOptions,
-    mode: BatchMode,
-) -> Allocation {
     let partition = allocation.rt_partition();
     let mut placements: Vec<SecurityPlacement> =
         allocation.iter().map(|(_, placement)| *placement).collect();
@@ -385,7 +356,7 @@ pub fn readapt_allocation_with_mode(
         ids.sort_by_key(|&id| (problem.security_tasks[id].max_period(), id.0));
         let tasks: Vec<&SecurityTask> = ids.iter().map(|&id| &problem.security_tasks[id]).collect();
         let rt_bound = rt_interference_on(&problem.rt_tasks, partition, core);
-        if let Some(plan) = optimize_core_periods_with_mode(&tasks, &rt_bound, options, mode) {
+        if let Some(plan) = optimize_core_periods(&tasks, &rt_bound, options) {
             for (rank, &id) in ids.iter().enumerate() {
                 let period = plan.periods[rank];
                 placements[id.0] = SecurityPlacement {
@@ -686,9 +657,34 @@ mod tests {
         ]
     }
 
+    /// The one-candidate-at-a-time scan: re-greedify the whole suffix per
+    /// grid point — the reference the chunked [`scan_grid`] is held to.
+    fn scan_grid_reference(
+        tasks: &[&SecurityTask],
+        rt_bound: &InterferenceBound,
+        grid: &Grid<'_>,
+    ) -> Option<(f64, f64)> {
+        let mut best = grid.best;
+        let mut found = None;
+        let mut scratch = grid.periods.to_vec();
+        for g in 0..grid.options.grid_points {
+            let candidate = grid.candidate(g);
+            scratch.copy_from_slice(grid.periods);
+            scratch[grid.task] = candidate;
+            if !regreedify_suffix(tasks, rt_bound, &mut scratch, grid.task + 1) {
+                continue;
+            }
+            let value = weighted_tightness(tasks, &scratch);
+            if value > best + grid.options.improvement_tolerance {
+                best = value;
+                found = Some((value, candidate));
+            }
+        }
+        found
+    }
+
     #[test]
-    fn batched_grid_scan_is_bit_identical_to_scalar() {
-        use rt_core::batch::BatchMode;
+    fn chunked_grid_scan_is_bit_identical_to_the_one_candidate_reference() {
         for (grid_points, max_passes) in [(24, 8), (9, 3), (2, 1), (8, 8), (17, 2)] {
             let opts = JointOptions {
                 grid_points,
@@ -697,16 +693,18 @@ mod tests {
             };
             for (tasks, b) in differential_fixtures() {
                 let refs: Vec<&SecurityTask> = tasks.iter().collect();
-                let batch = optimize_core_periods_with_mode(&refs, &b, &opts, BatchMode::Batch);
-                let scalar = optimize_core_periods_with_mode(&refs, &b, &opts, BatchMode::Scalar);
-                match (&batch, &scalar) {
-                    (Some(bp), Some(sp)) => {
-                        assert_eq!(bp.periods, sp.periods, "grid {grid_points}");
+                let chunked = optimize_core_periods(&refs, &b, &opts);
+                let reference = optimize_with(&refs, &b, &opts, |tasks, grid| {
+                    scan_grid_reference(tasks, &b, grid)
+                });
+                match (&chunked, &reference) {
+                    (Some(cp), Some(rp)) => {
+                        assert_eq!(cp.periods, rp.periods, "grid {grid_points}");
                         // PartialEq on f64 would accept -0.0 == 0.0 etc.;
                         // compare the bit patterns to pin true identity.
                         assert_eq!(
-                            bp.weighted_tightness.to_bits(),
-                            sp.weighted_tightness.to_bits(),
+                            cp.weighted_tightness.to_bits(),
+                            rp.weighted_tightness.to_bits(),
                             "grid {grid_points}"
                         );
                     }
@@ -717,17 +715,39 @@ mod tests {
         }
     }
 
-    #[test]
-    fn batched_readaptation_matches_scalar() {
-        use rt_core::batch::BatchMode;
-        let problem = readapt_problem();
-        let fixed = crate::allocator::HydraAllocator::default()
-            .allocate(&problem)
-            .unwrap();
-        for opts in [JointOptions::default(), JointOptions::greedy_only()] {
-            let batch = readapt_allocation_with_mode(&problem, &fixed, &opts, BatchMode::Batch);
-            let scalar = readapt_allocation_with_mode(&problem, &fixed, &opts, BatchMode::Scalar);
-            assert_eq!(batch, scalar);
+    mod chunked_vs_reference {
+        use super::*;
+        use proptest::prelude::*;
+
+        fn arb_task() -> impl Strategy<Value = SecurityTask> {
+            (50u64..900, 1_000u64..8_000, 2u64..30, 1u32..4).prop_map(|(c, tdes, stretch, w)| {
+                sec(c, tdes, tdes * stretch)
+                    .with_weight(f64::from(w))
+                    .unwrap()
+            })
+        }
+
+        proptest! {
+            #[test]
+            fn chunked_scan_matches_the_reference_on_random_cores(
+                tasks in prop::collection::vec(arb_task(), 2..7),
+                constant in 0.0f64..400.0,
+                slope in 0.0f64..0.6,
+                grid_points in 2usize..20,
+            ) {
+                let mut refs: Vec<&SecurityTask> = tasks.iter().collect();
+                refs.sort_by_key(|t| t.max_period());
+                let b = bound(constant, slope);
+                let opts = JointOptions { grid_points, ..JointOptions::default() };
+                let chunked = optimize_core_periods(&refs, &b, &opts);
+                let reference = optimize_with(&refs, &b, &opts, |tasks, grid| {
+                    scan_grid_reference(tasks, &b, grid)
+                });
+                prop_assert_eq!(
+                    chunked.as_ref().map(|p| (&p.periods, p.weighted_tightness.to_bits())),
+                    reference.as_ref().map(|p| (&p.periods, p.weighted_tightness.to_bits()))
+                );
+            }
         }
     }
 

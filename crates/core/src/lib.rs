@@ -44,7 +44,6 @@
 
 pub mod allocation;
 pub mod allocator;
-pub mod batch;
 pub mod casestudy;
 pub mod catalog;
 pub mod interference;
@@ -60,9 +59,8 @@ pub use allocation::{Allocation, AllocationError, AllocationProblem, SecurityPla
 pub use allocator::{
     Allocator, CoreSelection, HydraAllocator, OptimalAllocator, SingleCoreAllocator,
 };
-pub use batch::LaneBounds;
 pub use interference::InterferenceBound;
-pub use joint::{readapt_allocation, readapt_allocation_with_mode, JointOptions};
+pub use joint::{readapt_allocation, JointOptions};
 pub use nonpreemptive::NpHydraAllocator;
 pub use period::PeriodChoice;
 pub use precedence::{PrecedenceGraph, PrecedenceHydraAllocator};

@@ -14,9 +14,9 @@
 //! * the demand-bound function and the multiprocessor necessary condition of
 //!   Eq. (1) of the paper ([`dbf`]),
 //! * exact response-time analysis for fixed-priority preemptive uniprocessor
-//!   scheduling ([`rta`]),
-//! * structure-of-arrays batch kernels evaluating up to eight RTA / Eq. (1)
-//!   instances per recurrence iteration ([`batch`]), and
+//!   scheduling ([`rta`]), including an allocation-free check of a core's
+//!   priority-ordered rows from a given row on ([`rta::verify_rows_from`],
+//!   the partition heuristics' incremental admission test), and
 //! * hyperperiod computation ([`hyperperiod`]).
 //!
 //! # Example
@@ -41,7 +41,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod batch;
 pub mod dbf;
 pub mod error;
 pub mod hyperperiod;
@@ -51,7 +50,6 @@ pub mod task;
 pub mod time;
 pub mod util;
 
-pub use batch::{BatchMode, BatchStats};
 pub use error::RtError;
 pub use priority::{Priority, PriorityAssignment, PriorityPolicy};
 pub use task::{RtTask, TaskId, TaskSet};

@@ -144,6 +144,77 @@ pub(crate) fn seed_from_utilization(base: u64, util: f64) -> Option<u64> {
     }
 }
 
+/// One task of a core's priority-ordered column, in ticks — the unit of
+/// [`verify_rows_from`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Row {
+    /// Worst-case execution time.
+    pub wcet: u64,
+    /// Period (minimum inter-arrival time); must be positive.
+    pub period: u64,
+    /// Relative deadline.
+    pub deadline: u64,
+}
+
+impl Row {
+    /// The row of `task`.
+    #[must_use]
+    pub fn of(task: &RtTask) -> Self {
+        Row {
+            wcet: task.wcet().as_ticks(),
+            period: task.period().as_ticks(),
+            deadline: task.deadline().as_ticks(),
+        }
+    }
+}
+
+/// Whether every row of `rows` from index `start` on meets its deadline,
+/// where `rows` lists one core's tasks in priority order (highest first) so
+/// that a row's interferers are exactly the rows above it.
+///
+/// Rows before `start` are taken as already verified: they still interfere
+/// with the rows below, but their own recurrences are not re-run. That is
+/// sound whenever none of them gained an interferer since it was last
+/// verified — the partition heuristics' incremental admission test, which
+/// re-checks only the suffix from the insertion point of a candidate task.
+///
+/// Each verified row's verdict is the one
+/// [`response_time_with_interference`] gives over the rows above it: the
+/// recurrence starts from the same utilization seed (a lower bound, so it
+/// only skips early iterations), and saturating sums of non-negative terms
+/// do not depend on the order they are added in. Allocation-free; stops at
+/// the first row that misses its deadline.
+#[must_use]
+pub fn verify_rows_from(rows: &[Row], start: usize) -> bool {
+    let mut util: f64 = rows[..start.min(rows.len())]
+        .iter()
+        .map(|hp| hp.wcet as f64 / hp.period as f64)
+        .sum();
+    for (i, row) in rows.iter().enumerate().skip(start) {
+        let Some(mut r) = seed_from_utilization(row.wcet, util) else {
+            return false;
+        };
+        if row.wcet > row.deadline || r > row.deadline {
+            return false;
+        }
+        loop {
+            let mut next = row.wcet;
+            for hp in &rows[..i] {
+                next = next.saturating_add(hp.wcet.saturating_mul(r.div_ceil(hp.period)));
+            }
+            if next > row.deadline {
+                return false;
+            }
+            if next == r {
+                break;
+            }
+            r = next;
+        }
+        util += row.wcet as f64 / row.period as f64;
+    }
+    true
+}
+
 /// Computes the worst-case response time of `task` within `tasks` under the
 /// given priority assignment, assuming all tasks share one core.
 #[must_use]
@@ -441,22 +512,98 @@ mod tests {
         }
     }
 
-    mod seeded_vs_naive {
+    /// `set`'s rows in rate-monotonic order, and where its last task sits.
+    fn rm_rows(set: &TaskSet) -> (Vec<Row>, usize) {
+        let pa = rm(set);
+        let mut order: Vec<TaskId> = set.ids().collect();
+        order.sort_by_key(|&id| pa.priority(id));
+        let last = order.iter().position(|id| id.0 == set.len() - 1);
+        let rows = order.iter().map(|&id| Row::of(&set[id])).collect();
+        (rows, last.unwrap_or(0))
+    }
+
+    #[test]
+    fn row_check_matches_the_textbook_verdicts() {
+        let ok: TaskSet = vec![task(1, 4), task(2, 6), task(3, 13)]
+            .into_iter()
+            .collect();
+        let (rows, _) = rm_rows(&ok);
+        assert!(verify_rows_from(&rows, 0));
+        let overload: TaskSet = vec![task(3, 4), task(3, 6)].into_iter().collect();
+        let (rows, _) = rm_rows(&overload);
+        assert!(!verify_rows_from(&rows, 0));
+        // The second row fails, so starting past it passes trivially.
+        assert!(verify_rows_from(&rows, 2));
+        assert!(verify_rows_from(&[], 0));
+    }
+
+    #[test]
+    fn row_check_fails_a_wcet_past_its_deadline_before_iterating() {
+        let rows = [Row {
+            wcet: 10,
+            period: 20,
+            deadline: 5,
+        }];
+        assert!(!verify_rows_from(&rows, 0));
+    }
+
+    fn arb_task() -> impl proptest::Strategy<Value = RtTask> {
+        use proptest::prelude::*;
+        (1u64..400, 1u64..1000, 0.1f64..1.0).prop_map(|(c, t, d_frac)| {
+            let period = c.max(t);
+            let deadline = ((period as f64 * d_frac) as u64).clamp(c, period);
+            RtTask::new(
+                Time::from_ticks(c),
+                Time::from_ticks(period),
+                Time::from_ticks(deadline),
+            )
+            .unwrap()
+        })
+    }
+
+    mod rows_vs_full_analysis {
         use super::*;
         use proptest::prelude::*;
 
-        fn arb_task() -> impl Strategy<Value = RtTask> {
-            (1u64..400, 1u64..1000, 0.1f64..1.0).prop_map(|(c, t, d_frac)| {
-                let period = c.max(t);
-                let deadline = ((period as f64 * d_frac) as u64).clamp(c, period);
-                RtTask::new(
-                    Time::from_ticks(c),
-                    Time::from_ticks(period),
-                    Time::from_ticks(deadline),
-                )
-                .unwrap()
-            })
+        fn arb_set(max_len: usize) -> impl Strategy<Value = TaskSet> {
+            prop::collection::vec(arb_task(), 1..=max_len).prop_map(TaskSet::new)
         }
+
+        proptest! {
+            #[test]
+            fn row_check_from_the_top_is_the_full_rm_analysis(set in arb_set(9)) {
+                let (rows, _) = rm_rows(&set);
+                prop_assert_eq!(verify_rows_from(&rows, 0), is_schedulable_rm(&set));
+            }
+
+            #[test]
+            fn suffix_verification_agrees_with_full_reverification(
+                set in arb_set(9),
+                extra in arb_task()
+            ) {
+                // The partition-admission shape: a fully schedulable prefix
+                // plus one inserted candidate. Suffix-only verification
+                // (start at the insertion row) must agree with re-verifying
+                // the whole merged set, because rows above the insertion
+                // point keep their interferer sets.
+                if !is_schedulable_rm(&set) {
+                    return Ok(());
+                }
+                let mut merged: Vec<RtTask> = set.tasks().cloned().collect();
+                merged.push(extra);
+                let merged: TaskSet = merged.into_iter().collect();
+                let (rows, inserted_at) = rm_rows(&merged);
+                prop_assert_eq!(
+                    verify_rows_from(&rows, inserted_at),
+                    is_schedulable_rm(&merged)
+                );
+            }
+        }
+    }
+
+    mod seeded_vs_naive {
+        use super::*;
+        use proptest::prelude::*;
 
         proptest! {
             #[test]

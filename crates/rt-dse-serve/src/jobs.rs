@@ -23,7 +23,6 @@ use rt_obs::Counter;
 
 use crate::http::{self, ChunkedWriter};
 use crate::json;
-use crate::proto::SweepRequest;
 
 /// The lifecycle of one job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -209,7 +208,7 @@ impl JobPool {
     /// Transport errors writing the response head; the job is not enqueued.
     pub fn submit(
         &self,
-        request: SweepRequest,
+        spec: ScenarioSpec,
         mut stream: TcpStream,
     ) -> std::io::Result<Option<Arc<JobRecord>>> {
         // SeqCst everywhere the latch is touched: shutdown is rare and cold,
@@ -225,9 +224,8 @@ impl JobPool {
             *next += 1;
             id
         };
-        let mut session = SweepSession::new(request.spec)
+        let mut session = SweepSession::new(spec)
             .threads(self.threads_per_job)
-            .batch_mode(request.batch)
             .observability(self.obs.clone());
         if let Some(store) = &self.store {
             session = session.memo_store(Arc::clone(store));

@@ -37,7 +37,29 @@ ENDPOINTS:
     POST /v1/jobs/ID/cancel   cooperative cancel (queued or running)
     GET  /metrics         shared rt-obs/v1 metrics snapshot
     POST /v1/shutdown     refuse new work, drain the queue, exit
+
+An unknown option is an error (exit code 2).
 ";
+
+/// Every option; each takes a value. `--help` (`-h`, `help`) is handled
+/// before any other argument is looked at.
+const VALUE_OPTIONS: &[&str] = &["--addr", "--workers", "--threads-per-job", "--store"];
+
+/// Rejects any argument that is not a known option or the value of one,
+/// and a value option with nothing after it.
+fn check(argv: &[String]) -> Result<(), String> {
+    let mut rest = argv.iter();
+    while let Some(arg) = rest.next() {
+        if !VALUE_OPTIONS.contains(&arg.as_str()) {
+            return Err(format!("unknown option: {arg}"));
+        }
+        // The value is consumed here, whatever it looks like.
+        if rest.next().is_none() {
+            return Err(format!("option {arg} expects a value"));
+        }
+    }
+    Ok(())
+}
 
 fn value_of<'a>(argv: &'a [String], key: &str) -> Option<&'a str> {
     argv.iter()
@@ -56,13 +78,6 @@ fn parsed<T: std::str::FromStr>(argv: &[String], key: &str, default: T) -> Resul
 }
 
 fn run(argv: &[String]) -> Result<(), String> {
-    if argv
-        .iter()
-        .any(|a| a == "--help" || a == "-h" || a == "help")
-    {
-        print!("{USAGE}");
-        return Ok(());
-    }
     let addr = value_of(argv, "--addr")
         .unwrap_or("127.0.0.1:7878")
         .to_owned();
@@ -103,6 +118,17 @@ fn run(argv: &[String]) -> Result<(), String> {
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
+    if argv
+        .iter()
+        .any(|a| a == "--help" || a == "-h" || a == "help")
+    {
+        print!("{USAGE}");
+        return ExitCode::SUCCESS;
+    }
+    if let Err(message) = check(&argv) {
+        eprintln!("error: {message}\n\n{USAGE}");
+        return ExitCode::from(2);
+    }
     match run(&argv) {
         Ok(()) => ExitCode::SUCCESS,
         Err(message) => {

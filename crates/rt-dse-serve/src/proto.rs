@@ -17,24 +17,13 @@ use crate::json::Json;
 /// request-schema table is machine-checked against this list (xtask D006).
 pub const REQUEST_FIELDS: &str = "name, workload, eval, horizon, attacks, cores, util_steps, \
                                   utils, allocators, period_policies, trials, seed, sec_tasks, \
-                                  sample, batch, explore, refine_budget";
+                                  sample, explore, refine_budget";
 
 /// Every job-status field, in render order. The README status-schema table
 /// and the `status_json` render order are both machine-checked against this
 /// list (xtask D006 and a unit test in `jobs`).
 pub const STATUS_FIELDS: &str = "schema, id, name, state, done, total, elapsed_secs, \
                                  store_hits, store_misses, error";
-
-/// A validated sweep request: the spec plus the engine knobs that ride
-/// along with it.
-#[derive(Debug, Clone)]
-pub struct SweepRequest {
-    /// The sweep to run.
-    pub spec: ScenarioSpec,
-    /// Kernel mode (`"batch": false` selects the scalar reference kernels;
-    /// output bytes are identical either way).
-    pub batch: BatchMode,
-}
 
 fn want_u64(value: &Json, key: &str) -> Result<Option<u64>, String> {
     match value {
@@ -83,13 +72,14 @@ fn want_list<T>(
     }
 }
 
-/// Parses and validates one sweep-request document.
+/// Parses and validates one sweep-request document into the sweep it asks
+/// for.
 ///
 /// # Errors
 ///
 /// A human-readable reason: unknown field, wrong type, or a value outside
 /// the same bounds the CLI enforces.
-pub fn parse_request(doc: &Json) -> Result<SweepRequest, String> {
+pub fn parse_request(doc: &Json) -> Result<ScenarioSpec, String> {
     let Json::Obj(members) = doc else {
         return Err("the request body must be a JSON object".to_owned());
     };
@@ -206,34 +196,18 @@ pub fn parse_request(doc: &Json) -> Result<SweepRequest, String> {
         other => return Err(format!("unknown explore mode: {other}")),
     };
 
-    let batch = match get("batch") {
-        Json::Null => BatchMode::Batch,
-        v => {
-            if v.as_bool()
-                .ok_or_else(|| "\"batch\" must be a boolean".to_owned())?
-            {
-                BatchMode::Batch
-            } else {
-                BatchMode::Scalar
-            }
-        }
-    };
-
-    Ok(SweepRequest {
-        spec: ScenarioSpec {
-            name: want_str(get("name"), "name")?.unwrap_or("sweep").to_owned(),
-            workload,
-            evaluation,
-            cores,
-            utilizations,
-            allocators,
-            period_policies,
-            trials: want_usize(get("trials"), "trials")?.unwrap_or(5),
-            base_seed: want_u64(get("seed"), "seed")?.unwrap_or(2018),
-            expansion,
-            explore,
-        },
-        batch,
+    Ok(ScenarioSpec {
+        name: want_str(get("name"), "name")?.unwrap_or("sweep").to_owned(),
+        workload,
+        evaluation,
+        cores,
+        utilizations,
+        allocators,
+        period_policies,
+        trials: want_usize(get("trials"), "trials")?.unwrap_or(5),
+        base_seed: want_u64(get("seed"), "seed")?.unwrap_or(2018),
+        expansion,
+        explore,
     })
 }
 
@@ -245,25 +219,24 @@ mod tests {
     #[test]
     fn an_empty_request_matches_the_cli_defaults() {
         let req = parse_request(&json::parse("{}").expect("valid json")).expect("valid request");
-        assert_eq!(req.spec.name, "sweep");
-        assert_eq!(req.spec.cores, vec![2, 4, 8]);
-        assert_eq!(req.spec.trials, 5);
-        assert_eq!(req.spec.base_seed, 2018);
+        assert_eq!(req.name, "sweep");
+        assert_eq!(req.cores, vec![2, 4, 8]);
+        assert_eq!(req.trials, 5);
+        assert_eq!(req.base_seed, 2018);
         assert_eq!(
-            req.spec.allocators,
+            req.allocators,
             vec![
                 AllocatorKind::Hydra,
                 AllocatorKind::SingleCore,
                 AllocatorKind::NpHydra
             ]
         );
-        assert_eq!(req.spec.period_policies, vec![PeriodPolicy::Fixed]);
+        assert_eq!(req.period_policies, vec![PeriodPolicy::Fixed]);
         assert!(matches!(
-            req.spec.utilizations,
+            req.utilizations,
             UtilizationGrid::NormalizedSteps(13)
         ));
-        assert!(matches!(req.batch, BatchMode::Batch));
-        assert_eq!(req.spec.explore, ExploreMode::Exhaustive);
+        assert_eq!(req.explore, ExploreMode::Exhaustive);
     }
 
     #[test]
@@ -273,14 +246,14 @@ mod tests {
         )
         .expect("valid request");
         assert_eq!(
-            req.spec.explore,
+            req.explore,
             ExploreMode::Frontier(FrontierConfig { refine_budget: 12 })
         );
         // The budget defaults like the CLI's when omitted.
         let req = parse_request(&json::parse(r#"{"explore": "frontier"}"#).expect("valid json"))
             .expect("valid request");
         assert_eq!(
-            req.spec.explore,
+            req.explore,
             ExploreMode::Frontier(FrontierConfig::default())
         );
     }
@@ -289,15 +262,13 @@ mod tests {
     fn explicit_fields_reach_the_spec() {
         let body = r#"{
             "name": "mini", "cores": [2], "utils": [0.3, 0.6], "trials": 2,
-            "seed": 7, "allocators": ["hydra"], "period_policies": ["fixed"],
-            "batch": false
+            "seed": 7, "allocators": ["hydra"], "period_policies": ["fixed"]
         }"#;
         let req = parse_request(&json::parse(body).expect("valid json")).expect("valid request");
-        assert_eq!(req.spec.name, "mini");
-        assert_eq!(req.spec.cores, vec![2]);
-        assert_eq!(req.spec.base_seed, 7);
-        assert!(matches!(req.batch, BatchMode::Scalar));
-        match &req.spec.utilizations {
+        assert_eq!(req.name, "mini");
+        assert_eq!(req.cores, vec![2]);
+        assert_eq!(req.base_seed, 7);
+        match &req.utilizations {
             UtilizationGrid::Fractions(f) => assert_eq!(f, &vec![0.3, 0.6]),
             other => panic!("expected fractions, got {other:?}"),
         }
@@ -331,6 +302,17 @@ mod tests {
     }
 
     #[test]
+    fn the_retired_batch_field_is_an_unknown_field() {
+        // There is one analysis path, so a request that still names the
+        // kernel switch gets the ordinary unknown-field answer (a 400).
+        for body in [r#"{"batch": false}"#, r#"{"batch": true}"#] {
+            let err = parse_request(&json::parse(body).expect("valid json"))
+                .expect_err("must be rejected");
+            assert!(err.contains("unknown field \"batch\""), "{err}");
+        }
+    }
+
+    #[test]
     fn request_fields_list_is_canonical() {
         // Guards the D006 contract: every field the parser consults appears
         // in REQUEST_FIELDS (the parser rejects anything outside the list,
@@ -350,7 +332,6 @@ mod tests {
             "seed",
             "sec_tasks",
             "sample",
-            "batch",
             "explore",
             "refine_budget",
         ] {

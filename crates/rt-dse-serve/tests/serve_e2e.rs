@@ -107,11 +107,9 @@ fn json_of(body: &[u8]) -> json::Json {
 /// sink.
 fn engine_reference_jsonl(request_body: &str) -> Vec<u8> {
     let doc = json::parse(request_body).expect("request body is valid JSON");
-    let request = proto::parse_request(&doc).expect("request is valid");
+    let spec = proto::parse_request(&doc).expect("request is valid");
     let mut sink = JsonlSink::new(Vec::new());
-    let session = SweepSession::new(request.spec)
-        .threads(1)
-        .batch_mode(request.batch);
+    let session = SweepSession::new(spec).threads(1);
     match session.spec().explore {
         ExploreMode::Frontier(_) => {
             FrontierRunner::new(session)
@@ -391,4 +389,58 @@ fn shutdown_refuses_new_work_drains_and_returns() {
         TcpStream::connect(addr).is_err(),
         "the listener is closed after shutdown"
     );
+}
+
+#[test]
+fn the_binary_rejects_unknown_options_and_accepts_every_listed_one() {
+    use std::io::BufRead as _;
+    use std::process::{Command, Stdio};
+
+    let bin = env!("CARGO_BIN_EXE_dse-serve");
+    for (args, needle) in [
+        (&["--worker", "2"][..], "unknown option: --worker"),
+        (&["--batch"][..], "unknown option: --batch"),
+        (&["--store"][..], "option --store expects a value"),
+    ] {
+        let out = Command::new(bin)
+            .args(args)
+            .output()
+            .expect("spawn dse-serve");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}:\n{stderr}");
+        assert!(stderr.contains(needle), "{args:?}:\n{stderr}");
+        assert!(stderr.contains("USAGE:"), "{args:?}:\n{stderr}");
+    }
+
+    // Every option of the usage text, as the benchmark driver passes them.
+    let store = scratch("cli-store");
+    let mut child = Command::new(bin)
+        .args([
+            "--addr",
+            "127.0.0.1:0",
+            "--workers",
+            "1",
+            "--threads-per-job",
+            "1",
+        ])
+        .arg("--store")
+        .arg(&store)
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn dse-serve");
+    let mut stderr = std::io::BufReader::new(child.stderr.take().expect("piped stderr"));
+    let mut banner = String::new();
+    stderr.read_line(&mut banner).expect("read the banner");
+    let addr: SocketAddr = banner
+        .split_whitespace()
+        .nth(3)
+        .and_then(|a| a.parse().ok())
+        .unwrap_or_else(|| panic!("no address in banner: {banner}"));
+    assert_eq!(exchange(addr, "POST", "/v1/shutdown", "").0, 200);
+    let mut rest = String::new();
+    stderr
+        .read_to_string(&mut rest)
+        .expect("read the exit notice");
+    assert!(child.wait().expect("dse-serve exits").success(), "{rest}");
+    let _ = std::fs::remove_dir_all(&store);
 }

@@ -3,7 +3,7 @@
 //! This module is the **stable library surface** of the sweep engine — the
 //! seam both the `dse` CLI and the `dse-serve` server are built on. A
 //! session is a value describing one run of one [`ScenarioSpec`]: how many
-//! threads, which kernel mode, which observability bundle, which persistent
+//! threads, which observability bundle, which persistent
 //! [`MemoStore`], which grid range. Running it streams outcomes into any
 //! [`OutcomeSink`] in grid order and returns the [`StreamSummary`]. The
 //! engine itself never touches stdout/stderr and holds no process-global
@@ -40,8 +40,6 @@
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
-
-use rt_core::batch::BatchMode;
 
 use crate::exec::{self, StreamSummary};
 use crate::grid::ScenarioGrid;
@@ -147,16 +145,15 @@ impl SweepHandle {
 }
 
 /// A configured, ready-to-run sweep: the builder over
-/// [`ScenarioSpec`] → threads / kernel mode / observability / persistent
-/// store / range → [`SweepSession::run`].
+/// [`ScenarioSpec`] → threads / observability / persistent store / range →
+/// [`SweepSession::run`].
 ///
-/// Defaults: auto thread count, batched kernels, observability off, no
-/// persistent store, the full grid range.
+/// Defaults: auto thread count, observability off, no persistent store, the
+/// full grid range.
 #[derive(Debug, Clone)]
 pub struct SweepSession {
     pub(crate) spec: ScenarioSpec,
     pub(crate) threads: usize,
-    pub(crate) batch: BatchMode,
     pub(crate) obs: SweepObs,
     pub(crate) store: Option<Arc<MemoStore>>,
     pub(crate) range: Option<Range<usize>>,
@@ -170,7 +167,6 @@ impl SweepSession {
         SweepSession {
             spec,
             threads: 0,
-            batch: BatchMode::Batch,
             obs: SweepObs::disabled(),
             store: None,
             range: None,
@@ -184,14 +180,6 @@ impl SweepSession {
     #[must_use]
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads;
-        self
-    }
-
-    /// Analysis-kernel mode: [`BatchMode::Batch`] (default) or the scalar
-    /// reference. Outputs are byte-identical either way.
-    #[must_use]
-    pub fn batch_mode(mut self, batch: BatchMode) -> Self {
-        self.batch = batch;
         self
     }
 

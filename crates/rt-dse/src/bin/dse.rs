@@ -77,10 +77,6 @@ SWEEP OPTIONS:
     --trials N            task sets per grid point          [default: 5]
     --seed S              base seed                         [default: 2018]
     --threads N           worker threads (0 = all cores)    [default: 0]
-    --no-batch            evaluate with the scalar analysis kernels instead
-                          of the 8-lane batch kernels (outputs are
-                          byte-identical either way; this flag exists for
-                          differential testing and performance comparison)
     --sample N            sample at most N points from the full grid
     --sec-tasks LO,HI     override the security task-count range
     --workload KIND       synthetic | uav                   [default: synthetic]
@@ -124,11 +120,64 @@ SCALE-OUT OPTIONS:
                                                             [default: 256]
     --stop-after K        checkpoint and exit after evaluating K scenarios
                           (for time-budgeted runs and resume testing)
+
+An unknown option is an error (exit code 2).
 ";
+
+/// Every `dse sweep` option: its name and whether it takes a value.
+/// `--progress` also accepts the inline `--progress=SECS` form.
+const SWEEP_OPTIONS: &[(&str, bool)] = &[
+    ("--cores", true),
+    ("--util-steps", true),
+    ("--utils", true),
+    ("--allocators", true),
+    ("--period-policy", true),
+    ("--explore", true),
+    ("--refine-budget", true),
+    ("--trials", true),
+    ("--seed", true),
+    ("--threads", true),
+    ("--sample", true),
+    ("--sec-tasks", true),
+    ("--workload", true),
+    ("--eval", true),
+    ("--horizon", true),
+    ("--attacks", true),
+    ("--name", true),
+    ("--out", true),
+    ("--quiet", false),
+    ("--progress", false),
+    ("--metrics-out", true),
+    ("--trace-out", true),
+    ("--store", true),
+    ("--shard", true),
+    ("--resume", false),
+    ("--checkpoint-every", true),
+    ("--stop-after", true),
+];
 
 struct Args(Vec<String>);
 
 impl Args {
+    /// Rejects any argument that is not a known option or the value of
+    /// one, and a value option with nothing after it.
+    fn check(&self, known: &[(&str, bool)]) -> Result<(), String> {
+        let mut rest = self.0.iter();
+        while let Some(arg) = rest.next() {
+            if arg.starts_with("--progress=") {
+                continue;
+            }
+            let Some(&(_, takes_value)) = known.iter().find(|(option, _)| option == arg) else {
+                return Err(format!("unknown option: {arg}"));
+            };
+            // The value is consumed here, whatever it looks like.
+            if takes_value && rest.next().is_none() {
+                return Err(format!("option {arg} expects a value"));
+            }
+        }
+        Ok(())
+    }
+
     fn value_of(&self, key: &str) -> Option<&str> {
         self.0
             .iter()
@@ -569,11 +618,6 @@ fn run_sweep(args: &Args) -> Result<(), String> {
         progress.is_some() || metrics_out.is_some(),
         trace_out.is_some(),
     );
-    let batch = if args.flag("--no-batch") {
-        BatchMode::Scalar
-    } else {
-        BatchMode::Batch
-    };
     let threads = args.parsed("--threads")?.unwrap_or(0);
     let store = match args.value_of("--store") {
         Some(dir) => Some(Arc::new(
@@ -583,7 +627,6 @@ fn run_sweep(args: &Args) -> Result<(), String> {
     };
     let mut session = SweepSession::new(spec.clone())
         .threads(threads)
-        .batch_mode(batch)
         .observability(obs.clone());
     if let Some(store) = &store {
         session = session.memo_store(Arc::clone(store));
@@ -891,7 +934,13 @@ fn main() -> ExitCode {
     let args = Args(argv.get(1..).unwrap_or_default().to_vec());
 
     let result = match command {
-        "sweep" => run_sweep(&args),
+        "sweep" => {
+            if let Err(message) = args.check(SWEEP_OPTIONS) {
+                eprintln!("error: {message}\n\n{USAGE}");
+                return ExitCode::from(2);
+            }
+            run_sweep(&args)
+        }
         // `list-allocators` predates the period-policy axis; it is kept as
         // an alias so existing scripts keep discovering valid flag values.
         "list-axes" | "list-allocators" => {

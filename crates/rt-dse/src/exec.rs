@@ -7,8 +7,8 @@
 //! entries between groups) — and packs consecutive groups into **work
 //! units** (see [`Units::new`]). Workers claim units from a shared atomic
 //! cursor (self-balancing). Per unit a worker generates each problem once,
-//! decides Eq. (1) for the whole unit in one batch-kernel pass, runs each
-//! allocator once per group and applies each period policy per member.
+//! decides Eq. (1) once per problem, runs each allocator once per group and
+//! applies each period policy per member.
 //! Every scenario derives its inputs from its own `(base_seed, stream)`
 //! address, which makes results independent of thread count, scheduling
 //! order and unit packing — the property the determinism tests pin down.
@@ -38,11 +38,10 @@ use std::time::{Duration, Instant};
 
 use hydra_core::allocator::{OptimalAllocator, SingleCoreAllocator};
 use hydra_core::{Allocation, AllocationError, AllocationProblem};
-use rt_core::batch::{BatchDemandKernel, BatchMode, BatchStats, LANES};
 use rt_core::dbf::necessary_condition_default_horizon;
 use rt_core::Time;
 use rt_obs::Gauge;
-use rt_partition::partition_tasks_with_mode;
+use rt_partition::partition_tasks;
 use rt_sim::attack::{AttackScenario, InjectedAttack};
 use rt_sim::detection::OnlineDetector;
 use rt_sim::engine::{simulate_with_scratch, SimConfig, SimScratch};
@@ -152,10 +151,13 @@ pub(crate) struct EvalScratch {
     sim: SimScratch,
     /// The streaming detection observer.
     detector: OnlineDetector,
-    /// The lane-batched Eq. (1) demand kernel, one lane per problem group
-    /// of a work unit.
-    demand: BatchDemandKernel,
 }
+
+/// The most problem groups one work unit packs: enough to amortize the
+/// cursor claim and the drain lock over a unit of cheap synthetic groups
+/// (one group per unit measured a few percent more 1-thread CPU on the
+/// `sweep-synth` benchmark spec).
+const UNIT_GROUPS: usize = 8;
 
 /// The problem groups of one run and the work units packing them.
 struct Units {
@@ -171,8 +173,9 @@ struct Units {
 
 impl Units {
     /// Groups `slice` by problem address and packs the groups into units:
-    /// up to [`LANES`] consecutive same-cores groups when `pack` (the
-    /// workload has an Eq. (1) stage), one group per unit otherwise. With
+    /// up to [`UNIT_GROUPS`] consecutive same-cores groups when `pack` (a
+    /// synthetic workload), one group per unit otherwise (a case-study
+    /// group is a whole detection pipeline, heavy enough alone). With
     /// `carry` (the run carries entries between groups) each contiguous run
     /// of an address is its own group, following the run before it in an
     /// earlier unit — a frontier list repeats each address once per slice,
@@ -199,7 +202,7 @@ impl Units {
             };
             groups[g].push(i);
         }
-        let width = if pack { LANES } else { 1 };
+        let width = if pack { UNIT_GROUPS } else { 1 };
         let cores = |g: usize| slice[groups[g][0]].cores;
         let mut units = Vec::new();
         let mut start = 0;
@@ -253,7 +256,6 @@ struct Pool<'a, 's> {
     /// The frontier runner's entries carried across its runs, if any.
     carried: Option<&'a CarriedEntries>,
     store: Option<&'a MemoStore>,
-    batch: BatchMode,
     obs: &'a SweepObs,
     handle: &'a SweepHandle,
     /// The reorder window: a unit may start only while its first scenario
@@ -280,9 +282,9 @@ fn resolve_threads(requested: usize, work_units: usize) -> usize {
 }
 
 /// Runs `scenarios[range]` (clamped to the list; an inverted or
-/// out-of-list range clamps to empty) under `session`'s threads, kernel
-/// mode, observability, store and handle, streaming outcomes to `sink` in
-/// list order. The session's own range is not consulted — callers pass the
+/// out-of-list range clamps to empty) under `session`'s threads,
+/// observability, store and handle, streaming outcomes to `sink` in list
+/// order. The session's own range is not consulted — callers pass the
 /// range they mean. Each [`Scenario::index`] must equal its list position.
 ///
 /// `carried` lets the frontier runner carry each address's problem,
@@ -337,7 +339,6 @@ pub(crate) fn stream(
         units,
         carried,
         store: session.store.as_deref(),
-        batch: session.batch,
         obs: &session.obs,
         handle,
         cursor: AtomicUsize::new(0),
@@ -435,7 +436,7 @@ impl Pool<'_, '_> {
                 stats: MemoStats::default(),
             };
             let groups = &self.units.groups[unit.clone()];
-            let states = self.resolve(groups, &mut tally, &mut scratch, &wobs);
+            let states = self.resolve(groups, &mut tally, &wobs);
             let mut outcomes = Vec::new();
             for (members, state) in groups.iter().zip(states) {
                 outcomes.extend(self.evaluate_group(
@@ -540,16 +541,12 @@ impl Pool<'_, '_> {
     }
 
     /// Looks up or produces every group's problem, then, for workloads
-    /// with the stage, Eq. (1) for every group (all share a core count): a
-    /// verdict carried in or found in the store is reused, the rest runs as
-    /// one [`BatchDemandKernel`] pass — or the scalar loop under
-    /// [`BatchMode::Scalar`], or for a lone lane, which books a
-    /// `batch.scalar_fallbacks`. Verdicts are identical either way.
+    /// with the stage, its Eq. (1) verdict: one carried in or found in the
+    /// store is reused, the rest is decided and written through.
     fn resolve(
         &self,
         groups: &[Vec<usize>],
         tally: &mut StoreTally<'_>,
-        scratch: &mut EvalScratch,
         wobs: &WorkerObs,
     ) -> Vec<GroupState> {
         let mut states: Vec<GroupState> = groups
@@ -581,47 +578,20 @@ impl Pool<'_, '_> {
         if !matches!(self.spec.workload, Workload::Synthetic(_)) {
             return states;
         }
-        let mut open: Vec<usize> = Vec::new();
-        for (i, (members, (key, entry))) in groups.iter().zip(states.iter_mut()).enumerate() {
+        for (members, (key, entry)) in groups.iter().zip(states.iter_mut()) {
             let undecided = entry.feasible.is_none();
             let stats = &mut tally.stats;
             let (hits, misses) = (&mut stats.feasibility_hits, &mut stats.feasibility_misses);
             MemoStats::book(hits, misses, members.len(), undecided);
             if undecided {
-                let hash = hash_taskset(&entry.problem.rt_tasks);
-                entry.feasible = tally.get(|s| s.get_feasibility(hash, key.cores));
-                if entry.feasible.is_none() {
-                    open.push(i);
-                }
+                let (rt_tasks, cores) = (&entry.problem.rt_tasks, key.cores);
+                let hash = hash_taskset(rt_tasks);
+                entry.feasible = Some(tally.fetch(
+                    |s| s.get_feasibility(hash, cores),
+                    |s, &verdict| s.put_feasibility(hash, cores, verdict),
+                    || necessary_condition_default_horizon(rt_tasks, cores),
+                ));
             }
-        }
-        let Some(&first) = open.first() else {
-            return states;
-        };
-        let cores = states[first].0.cores;
-        let batched = self.batch == BatchMode::Batch && open.len() >= 2;
-        let mut stats = BatchStats::default();
-        let verdicts = batched.then(|| {
-            scratch.demand.begin(open.len());
-            for (lane, &i) in open.iter().enumerate() {
-                let rt_tasks = &states[i].1.problem.rt_tasks;
-                scratch.demand.load_default_horizon(lane, rt_tasks, cores);
-            }
-            stats.record_batch(open.len());
-            scratch.demand.check(cores)
-        });
-        if self.batch == BatchMode::Batch && !batched {
-            stats.record_fallback();
-        }
-        wobs.add_batch_stats(&stats);
-        for (lane, &i) in open.iter().enumerate() {
-            let entry = &mut states[i].1;
-            let verdict = verdicts.map_or_else(
-                || necessary_condition_default_horizon(&entry.problem.rt_tasks, cores),
-                |v| v[lane],
-            );
-            entry.feasible = Some(verdict);
-            tally.put(|s| s.put_feasibility(hash_taskset(&entry.problem.rt_tasks), cores, verdict));
         }
         states
     }
@@ -668,14 +638,14 @@ impl Pool<'_, '_> {
                 let run = Arc::new(tally.fetch(
                     |s| s.get_allocation(&allocation_key),
                     |s, run| s.put_allocation(&allocation_key, run),
-                    || allocate(self.spec, scenario, &problem, wobs, self.batch),
+                    || allocate(self.spec, scenario, &problem, wobs),
                 ));
                 entry
                     .allocations
                     .push((scenario.allocator, Arc::clone(&run)));
                 run
             });
-            let outcome = measure(self.spec, shell, &problem, &run, scratch, wobs, self.batch);
+            let outcome = measure(self.spec, shell, &problem, &run, scratch, wobs);
             outcomes.push((i, outcome));
         }
         if let Some(carried) = self.carried {
@@ -728,8 +698,8 @@ fn generate(spec: &ScenarioSpec, scenario: &Scenario, wobs: &WorkerObs) -> Alloc
 }
 
 /// One allocator run of `scenario`'s scheme on `problem`, spanned, with the
-/// real-time partition built inline (one `partition_tasks` run, spanned and
-/// batch-counted). SingleCore partitions `M − 1` cores and re-expresses the
+/// real-time partition built inline (one `partition_tasks` run, spanned).
+/// SingleCore partitions `M − 1` cores and re-expresses the
 /// result over the full platform; every other scheme partitions all `M`.
 /// Optimal runs its branch-and-bound through the stats-returning entry
 /// point (identical result) so the search counters reach the registry.
@@ -738,7 +708,6 @@ fn allocate(
     scenario: &Scenario,
     problem: &AllocationProblem,
     wobs: &WorkerObs,
-    mode: BatchMode,
 ) -> Result<Allocation, AllocationError> {
     let _span = wobs.tracer.span(PHASE_ALLOCATE);
     let allocator = scenario
@@ -752,18 +721,11 @@ fn allocate(
     let rt_cores = problem.cores - usize::from(single_core);
     let partition = {
         let _span = wobs.tracer.span(PHASE_PARTITION);
-        let mut bstats = BatchStats::default();
-        let built = partition_tasks_with_mode(
-            &problem.rt_tasks,
-            rt_cores,
-            &problem.partition_config,
-            mode,
-            &mut bstats,
-        );
-        wobs.add_batch_stats(&bstats);
-        built.map_err(|e| AllocationError::RtPartitionFailed {
-            task: e.task,
-            cores: rt_cores,
+        partition_tasks(&problem.rt_tasks, rt_cores, &problem.partition_config).map_err(|e| {
+            AllocationError::RtPartitionFailed {
+                task: e.task,
+                cores: rt_cores,
+            }
         })?
     };
     match scenario.allocator {
@@ -796,7 +758,6 @@ fn measure(
     run: &SharedAllocation,
     scratch: &mut EvalScratch,
     wobs: &WorkerObs,
-    mode: BatchMode,
 ) -> ScenarioOutcome {
     let scenario = &base.scenario;
     let base = ScenarioOutcome {
@@ -813,9 +774,7 @@ fn measure(
             // periods under every policy.
             let allocation = if scenario.allocator.supports_period_reoptimization() {
                 let _span = wobs.tracer.span(PHASE_PERIOD_POLICY);
-                scenario
-                    .policy
-                    .apply_with_mode(problem, allocation.clone(), mode)
+                scenario.policy.apply(problem, allocation.clone())
             } else {
                 allocation.clone()
             };
@@ -1287,11 +1246,11 @@ mod tests {
         assert_eq!(whole.groups.len(), 12);
         assert_eq!(spans(&whole), Some(68));
         // With them each group is one contiguous run: units cover at most
-        // LANES adjacent positions, and every run after an address's first
-        // follows the run before it, in an earlier unit.
+        // UNIT_GROUPS adjacent positions, and every run after an address's
+        // first follows the run before it, in an earlier unit.
         let runs = Units::new(&list, true, true);
         assert_eq!(runs.groups.len(), 72);
-        assert_eq!(spans(&runs), Some(LANES));
+        assert_eq!(spans(&runs), Some(UNIT_GROUPS));
         for (g, follows) in runs.follows.iter().enumerate() {
             assert_eq!(*follows, g.checked_sub(12), "group {g}");
         }

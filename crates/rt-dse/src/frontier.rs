@@ -338,7 +338,7 @@ impl SliceSearch {
 }
 
 /// The frontier-mode driver: holds one [`SweepSession`] — its threads,
-/// kernel mode, observability, store and handle apply to every probe round
+/// observability, store and handle apply to every probe round
 /// and to the emission — plus the problem entries the two phases share,
 /// and exposes [`FrontierRunner::plan`] (Phase A) and
 /// [`FrontierRunner::run`] (Phase B). The session's `range` builder is
@@ -916,12 +916,11 @@ mod tests {
     #[test]
     fn runner_honours_every_session_setting() {
         // The runner drives both phases through the session it holds: a
-        // store-backed, scalar-kernel, instrumented session emits the
+        // store-backed, two-thread, instrumented session emits the
         // default session's bytes, its settings demonstrably reach the
         // engine, and a warm repeat on the same store answers from disk.
         use crate::obs::SweepObs;
         use crate::store::MemoStore;
-        use rt_core::batch::BatchMode;
         use std::sync::Arc;
 
         let emit = |session: SweepSession| {
@@ -940,7 +939,6 @@ mod tests {
             SweepSession::new(frontier_spec())
                 .threads(2)
                 .memo_store(Arc::clone(&store))
-                .batch_mode(BatchMode::Scalar)
                 .observability(obs.clone())
         };
         let cold_obs = SweepObs::enabled();
@@ -949,7 +947,6 @@ mod tests {
         let snapshot = cold_obs.registry().snapshot();
         assert!(snapshot.counter("sweep.scenarios_done") > 0);
         assert!(snapshot.counter("memo.problem_misses") > 0);
-        assert!(!snapshot.histograms.contains_key("batch.lanes_filled"));
 
         let warm_obs = SweepObs::enabled();
         let (warm, summary) = emit(configured(&warm_obs));

@@ -12,7 +12,7 @@
 //!   into concrete [`Scenario`](scenario::Scenario) points with
 //!   deterministic per-point seed addresses,
 //! * [`SweepSession`](api::SweepSession) — the one engine entry point: a
-//!   builder over threads, kernel mode, observability, persistent
+//!   builder over threads, observability, persistent
 //!   [`MemoStore`](store::MemoStore) and grid range whose run is a
 //!   self-balancing worker pool (pulling work units from a shared cursor)
 //!   with results independent of thread count and evaluation order. A work
@@ -95,7 +95,6 @@ pub mod prelude {
         ScenarioSpec, SyntheticOverrides, UtilizationGrid, Workload,
     };
     pub use crate::store::MemoStore;
-    pub use rt_core::batch::BatchMode;
 }
 
 pub use agg::{AggregateRow, PairedPoint};
@@ -103,7 +102,6 @@ pub use checkpoint::{sweep_fingerprint, Checkpoint};
 pub use memo::{hash_taskset, AllocationKey, MemoStats, ProblemKey};
 pub use obs::{phase_table, SweepObs, WorkerObs, ENGINE_TRACK, PHASES};
 pub use prelude::*;
-pub use rt_core::batch::BatchStats;
 pub use rt_core::Time;
 pub use scenario::DetectionStats;
 pub use sink::TeeSink;

@@ -205,7 +205,6 @@ mod tests {
     use crate::spec::{PeriodPolicy, ScenarioSpec, UtilizationGrid};
     use crate::testutil::run_session;
     use hydra_core::{casestudy, catalog};
-    use rt_core::batch::BatchMode;
 
     fn key(stream: u64) -> ProblemKey {
         ProblemKey {
@@ -294,13 +293,10 @@ mod tests {
     #[test]
     fn feasibility_verdicts_are_cached() {
         // One Eq. (1) decision per address; every other scenario of the
-        // group reads it, under either kernel mode.
-        for mode in [BatchMode::Batch, BatchMode::Scalar] {
-            let (_, summary) =
-                run_session(SweepSession::new(paired_spec()).threads(2).batch_mode(mode));
-            assert_eq!(summary.memo.feasibility_misses, 12, "{mode:?}");
-            assert_eq!(summary.memo.feasibility_hits, 60, "{mode:?}");
-        }
+        // group reads it.
+        let (_, summary) = run_session(SweepSession::new(paired_spec()).threads(2));
+        assert_eq!(summary.memo.feasibility_misses, 12);
+        assert_eq!(summary.memo.feasibility_hits, 60);
     }
 
     #[test]
@@ -416,10 +412,10 @@ mod tests {
     }
 
     #[test]
-    fn batched_feasibility_verdicts_write_through_to_the_store() {
-        // The batch pass decides whole units at once; every verdict it
-        // decides still reaches the store, and a warm rerun reads them all.
-        let (store, dir) = store_in("batch");
+    fn feasibility_verdicts_write_through_to_the_store() {
+        // Every Eq. (1) verdict a run decides reaches the store, and a warm
+        // rerun reads them all.
+        let (store, dir) = store_in("feasibility");
         let session = || {
             SweepSession::new(paired_spec())
                 .threads(2)

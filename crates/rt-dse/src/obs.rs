@@ -21,15 +21,13 @@
 //! | `memo.store_{hits,misses,write_errors}` | persistent-store traffic |
 //! | `sim.{releases,completions,truncated,preemptions,idle_jumps}` | simulator scheduling events |
 //! | `optimal.{visited,pruned,total}` | branch-and-bound search statistics |
-//! | `batch.scalar_fallbacks` | analyses the batch kernels handed back to the scalar path |
 //! | `checkpoint.writes` | checkpoint files durably written (CLI only) |
 //!
 //! Gauges: `drain.reorder_depth` — outcomes parked in the reorder buffer.
 //!
 //! Histograms: `sweep.scenario_ns` — each scenario's share of its work
 //! unit's evaluation time (the unit's time, sink drain excluded, divided
-//! evenly over its scenarios);
-//! `batch.lanes_filled` — occupied lanes per batch-kernel dispatch.
+//! evenly over its scenarios).
 //!
 //! # Trace tracks
 //!
@@ -222,25 +220,6 @@ impl WorkerObs {
         self.shard.counter("optimal.total").add(clamp(total));
     }
 
-    /// Folds a [`rt_core::batch::BatchStats`] delta into the `batch.*`
-    /// metrics: `batch.scalar_fallbacks` counts analyses handed back to the
-    /// scalar path, and the `batch.lanes_filled` histogram records the
-    /// occupied-lane count of every batch dispatch.
-    pub fn add_batch_stats(&self, stats: &rt_core::batch::BatchStats) {
-        if !self.shard.is_enabled() || stats.is_empty() {
-            return;
-        }
-        self.shard
-            .counter("batch.scalar_fallbacks")
-            .add(stats.scalar_fallbacks);
-        let lanes_filled = self.shard.histogram("batch.lanes_filled");
-        for (lanes, &dispatches) in stats.lanes_filled.iter().enumerate() {
-            for _ in 0..dispatches {
-                lanes_filled.record(lanes as u64);
-            }
-        }
-    }
-
     /// Adds a work unit's reuse counts to the `memo.*` counters, so the
     /// live heartbeat sees them as units finish.
     pub(crate) fn add_memo_stats(&self, m: &MemoStats) {
@@ -306,9 +285,6 @@ mod tests {
         worker.record_scenario(None);
         worker.add_sim_stats(SimStats::default());
         worker.add_search_stats(1, 2, 3);
-        let mut batch = rt_core::batch::BatchStats::default();
-        batch.record_batch(8);
-        worker.add_batch_stats(&batch);
         assert!(obs.registry().snapshot().counters.is_empty());
         assert!(obs.phase_rows().is_empty());
     }
@@ -322,16 +298,9 @@ mod tests {
         assert!(!worker.tracer.is_enabled());
         worker.record_scenario(Some(Duration::from_micros(5)));
         worker.add_search_stats(10, 5, 15);
-        let mut batch = rt_core::batch::BatchStats::default();
-        batch.record_fallback();
-        batch.record_batch(4);
-        batch.record_batch(8);
-        worker.add_batch_stats(&batch);
         let snap = obs.registry().snapshot();
         assert_eq!(snap.counter("sweep.scenarios_done"), 1);
         assert_eq!(snap.counter("optimal.total"), 15);
-        assert_eq!(snap.counter("batch.scalar_fallbacks"), 1);
-        assert_eq!(snap.histograms["batch.lanes_filled"].count, 2);
         assert_eq!(snap.histograms["sweep.scenario_ns"].count, 1);
         assert!(obs.phase_rows().is_empty());
     }

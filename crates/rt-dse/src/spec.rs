@@ -8,9 +8,8 @@
 
 use hydra_core::allocator::{Allocator, HydraAllocator, OptimalAllocator, SingleCoreAllocator};
 use hydra_core::precedence::{table1_precedence, PrecedenceGraph};
-use hydra_core::{readapt_allocation_with_mode, JointOptions};
+use hydra_core::{readapt_allocation, JointOptions};
 use hydra_core::{Allocation, AllocationProblem, NpHydraAllocator, PrecedenceHydraAllocator};
-use rt_core::batch::BatchMode;
 use taskgen::SyntheticConfig;
 
 /// The allocation schemes the sweep engine can compare.
@@ -163,29 +162,13 @@ impl PeriodPolicy {
     /// [`hydra_core::readapt_allocation`]).
     #[must_use]
     pub fn apply(self, problem: &AllocationProblem, allocation: Allocation) -> Allocation {
-        self.apply_with_mode(problem, allocation, BatchMode::Batch)
-    }
-
-    /// [`PeriodPolicy::apply`] with an explicit kernel [`BatchMode`] for the
-    /// per-core joint optimisation. Both modes produce bit-identical
-    /// allocations (pinned by the engine's determinism tests).
-    #[must_use]
-    pub fn apply_with_mode(
-        self,
-        problem: &AllocationProblem,
-        allocation: Allocation,
-        mode: BatchMode,
-    ) -> Allocation {
         match self {
             PeriodPolicy::Fixed => allocation,
-            PeriodPolicy::Adapt => readapt_allocation_with_mode(
-                problem,
-                &allocation,
-                &JointOptions::greedy_only(),
-                mode,
-            ),
+            PeriodPolicy::Adapt => {
+                readapt_allocation(problem, &allocation, &JointOptions::greedy_only())
+            }
             PeriodPolicy::Joint => {
-                readapt_allocation_with_mode(problem, &allocation, &JointOptions::default(), mode)
+                readapt_allocation(problem, &allocation, &JointOptions::default())
             }
         }
     }

@@ -8,9 +8,7 @@
 
 use core::fmt;
 
-use rt_core::batch::{BatchMode, BatchRtaKernel, BatchStats, LANES};
-use rt_core::priority::{PriorityAssignment, PriorityPolicy};
-use rt_core::rta::{self, ResponseTime};
+use rt_core::rta::{verify_rows_from, Row};
 use rt_core::{TaskId, TaskSet};
 
 use crate::admission::AdmissionTest;
@@ -135,8 +133,7 @@ fn pack_order(tasks: &TaskSet, ordering: TaskOrdering) -> Vec<TaskId> {
     order
 }
 
-/// Picks the core the heuristic prefers among `admitting` — shared verbatim
-/// between the scalar and batched paths so selection can never diverge.
+/// Picks the core the heuristic prefers among `admitting`.
 fn choose_core(
     admitting: &[(CoreId, f64)],
     heuristic: Heuristic,
@@ -169,9 +166,15 @@ fn choose_core(
     }
 }
 
-/// Partitions `tasks` over `cores` identical cores according to `config`,
-/// through the batched admission kernels (see
-/// [`partition_tasks_with_mode`]).
+/// Partitions `tasks` over `cores` identical cores according to `config`.
+///
+/// Each core keeps its tasks as rate-monotonic [`Row`]s, so the exact
+/// response-time admission test is incremental: it re-verifies only the
+/// rows from the candidate's insertion point down (plus any row a period
+/// tie left unverified), skips cores the hyperbolic bound already
+/// certifies, and allocates nothing per candidate. The partition is
+/// identical to packing with [`AdmissionTest::admits_with`] on every
+/// core's full task set, which the other admission tests still do.
 ///
 /// # Errors
 ///
@@ -186,80 +189,38 @@ pub fn partition_tasks(
     cores: usize,
     config: &PartitionConfig,
 ) -> Result<Partition, PartitionError> {
-    partition_tasks_with_mode(
-        tasks,
-        cores,
-        config,
-        BatchMode::Batch,
-        &mut BatchStats::default(),
-    )
-}
-
-/// Partitions `tasks` over `cores` identical cores according to `config`,
-/// choosing between the batched admission kernels and the scalar reference
-/// path.
-///
-/// Under [`BatchMode::Batch`] the response-time admission test of all cores
-/// is evaluated through the SoA [`BatchRtaKernel`], one lane per candidate
-/// core, re-verifying only the suffix of each core's rate-monotonic order
-/// below the insertion point. Configurations the kernel does not cover
-/// (non-RTA admission tests, fewer than two cores) fall back to the scalar
-/// path and are tallied in `stats`. Both paths produce **identical**
-/// partitions; [`BatchMode::Scalar`] forces the reference implementation
-/// (the differential oracle).
-///
-/// # Errors
-///
-/// Returns a [`PartitionError`] carrying the partial partition if some task
-/// cannot be admitted on any core.
-///
-/// # Panics
-///
-/// Panics if `cores` is zero.
-pub fn partition_tasks_with_mode(
-    tasks: &TaskSet,
-    cores: usize,
-    config: &PartitionConfig,
-    mode: BatchMode,
-    stats: &mut BatchStats,
-) -> Result<Partition, PartitionError> {
     assert!(cores > 0, "cannot partition onto zero cores");
-    if mode == BatchMode::Batch
-        && config.admission == AdmissionTest::ResponseTime
-        && cores >= 2
-        && !tasks.is_empty()
-    {
-        return partition_tasks_batched(tasks, cores, config, stats);
-    }
-    if mode == BatchMode::Batch && !tasks.is_empty() {
-        stats.record_fallback();
-    }
-    partition_tasks_scalar(tasks, cores, config)
-}
-
-/// The scalar reference partitioner — the differential oracle the batched
-/// path is tested against.
-fn partition_tasks_scalar(
-    tasks: &TaskSet,
-    cores: usize,
-    config: &PartitionConfig,
-) -> Result<Partition, PartitionError> {
+    let exact = config.admission == AdmissionTest::ResponseTime;
     let mut partition = Partition::new(tasks.len(), cores);
     let mut next_fit_cursor = 0usize;
+    let mut states: Vec<CoreRows> = (0..cores).map(|_| CoreRows::default()).collect();
+    let mut admitting: Vec<(CoreId, f64)> = Vec::new();
+    let mut scratch: Vec<Row> = Vec::new();
 
     for task_id in pack_order(tasks, config.ordering) {
         let candidate = &tasks[task_id];
-        // Cores that can admit the task, with their current utilisation.
-        let mut admitting: Vec<(CoreId, f64)> = Vec::new();
+        let row = Row::of(candidate);
+        let util = candidate.utilization();
+        admitting.clear();
         for core in partition.core_ids() {
-            let existing = partition.taskset_on(tasks, core);
-            if config.admission.admits_with(&existing, candidate) {
-                admitting.push((core, partition.utilization_on(tasks, core)));
+            let state = &mut states[core.0];
+            let admits = if exact {
+                state.admits(row, util, &mut scratch)
+            } else {
+                config
+                    .admission
+                    .admits_with(&partition.taskset_on(tasks, core), candidate)
+            };
+            if admits {
+                admitting.push((core, state.utilization()));
             }
         }
         let chosen = choose_core(&admitting, config.heuristic, cores, &mut next_fit_cursor);
         match chosen {
-            Some(core) => partition.assign(task_id, core),
+            Some(core) => {
+                partition.assign(task_id, core);
+                states[core.0].insert(task_id.0, row, util);
+            }
             None => {
                 return Err(PartitionError {
                     task: task_id,
@@ -271,20 +232,19 @@ fn partition_tasks_scalar(
     Ok(partition)
 }
 
-/// One core's incremental packing state for the batched partitioner.
+/// One core's incremental packing state.
 ///
-/// `id`/`wcet`/`period`/`deadline` hold the core's tasks in rate-monotonic
-/// order — sorted by `(period, original task id)`, which is exactly the
-/// order [`PriorityAssignment::assign`] produces for the ascending-id subset
-/// a later admission test would build. `util_id`/`util` hold the same tasks
-/// in ascending-id order so the core's utilisation is the identical
-/// left-to-right `f64` fold as [`Partition::utilization_on`].
+/// `id`/`rows` hold the core's tasks in rate-monotonic order — sorted by
+/// `(period, original task id)`, which is exactly the order
+/// [`PriorityAssignment::assign`](rt_core::PriorityAssignment::assign)
+/// produces for the ascending-id subset a full admission test would build.
+/// `util_id`/`util` hold the same tasks in ascending-id order so the core's
+/// utilisation is the identical left-to-right `f64` fold as
+/// [`Partition::utilization_on`].
 #[derive(Debug, Default)]
 struct CoreRows {
     id: Vec<usize>,
-    wcet: Vec<u64>,
-    period: Vec<u64>,
-    deadline: Vec<u64>,
+    rows: Vec<Row>,
     util_id: Vec<usize>,
     util: Vec<f64>,
     /// How many rows have a constrained (`deadline < period`) deadline;
@@ -294,37 +254,21 @@ struct CoreRows {
     /// First row whose response time is not covered by the inductive
     /// "already verified" invariant (see below), if any.
     ///
-    /// The scalar oracle appends the admission candidate *last* to the
+    /// A full admission test appends the candidate *last* to the
     /// ascending-id subset, so the candidate loses every period tie during
     /// its own test — but once assigned it takes its `(period, id)` place,
     /// *above* tied rows with larger ids. Those rows gain an interferer
-    /// they were never verified against; the scalar path would catch any
-    /// resulting miss at the next full re-verification, so the batched path
-    /// marks them dirty and re-verifies them in the next admission test.
+    /// they were never verified against; a full test would catch any
+    /// resulting miss at the next admission on this core, so they are
+    /// marked dirty and re-verified then.
     dirty: Option<usize>,
 }
 
 impl CoreRows {
     /// Where the candidate sits during *its own* admission test: after every
-    /// row with `period <= p` (the oracle's candidate-last tie-breaking).
+    /// row with `period <= p` (candidate-last tie-breaking).
     fn test_pos(&self, p: u64) -> usize {
-        self.period.partition_point(|&row| row <= p)
-    }
-
-    /// Where the candidate sits *once assigned*: rate-monotonic order with
-    /// ties broken by original task id.
-    fn state_pos(&self, p: u64, id: usize) -> usize {
-        let mut lo = 0usize;
-        let mut hi = self.id.len();
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            if (self.period[mid], self.id[mid]) < (p, id) {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        lo
+        self.rows.partition_point(|row| row.period <= p)
     }
 
     /// The core's current utilisation — the same ascending-id `f64` sum as
@@ -333,24 +277,58 @@ impl CoreRows {
         self.util.iter().sum()
     }
 
-    fn insert(&mut self, pos: usize, id: usize, w: u64, p: u64, d: u64, u: f64) {
-        self.id.insert(pos, id);
-        self.wcet.insert(pos, w);
-        self.period.insert(pos, p);
-        self.deadline.insert(pos, d);
-        self.non_implicit += usize::from(d != p);
+    /// The exact response-time admission test of `row` (utilisation `util`)
+    /// on this core. Cores the hyperbolic bound certifies skip the
+    /// recurrences; the rest re-verify, in `scratch`, the merged rows from
+    /// the insertion point or the first dirty row, whichever is higher.
+    /// Either way an admitting core is clean again: every row was just
+    /// proven schedulable against a superset of its current interferers.
+    fn admits(&mut self, row: Row, util: f64, scratch: &mut Vec<Row>) -> bool {
+        let ok = self.bound_admits(util, row.deadline == row.period) || {
+            let pos = self.test_pos(row.period);
+            scratch.clear();
+            scratch.extend_from_slice(&self.rows[..pos]);
+            scratch.push(row);
+            scratch.extend_from_slice(&self.rows[pos..]);
+            verify_rows_from(scratch, pos.min(self.dirty.unwrap_or(usize::MAX)))
+        };
+        if ok {
+            self.dirty = None;
+        }
+        ok
+    }
+
+    /// Assigns task `id` to this core at its rate-monotonic place.
+    fn insert(&mut self, id: usize, row: Row, util: f64) {
+        let test = self.test_pos(row.period);
+        let state = self
+            .rows
+            .iter()
+            .zip(&self.id)
+            .position(|(r, &i)| (r.period, i) >= (row.period, id))
+            .unwrap_or(self.rows.len());
+        self.id.insert(state, id);
+        self.rows.insert(state, row);
+        self.non_implicit += usize::from(row.deadline != row.period);
         let upos = self.util_id.partition_point(|&x| x < id);
         self.util_id.insert(upos, id);
-        self.util.insert(upos, u);
+        self.util.insert(upos, util);
+        if state < test {
+            // Tied rows with larger ids (now at `state + 1 ..= test`)
+            // gained the candidate as an interferer without being verified
+            // against it; re-check them next time.
+            let stale = state + 1;
+            self.dirty = Some(self.dirty.map_or(stale, |d| d.min(stale)));
+        }
     }
 
     /// Whether the hyperbolic bound (Bini & Buttazzo) certifies the merged
     /// core schedulable without running the exact test: with every deadline
     /// implicit, `Π (U_i + 1) ≤ 2` over the core's tasks plus the candidate
     /// implies RM-schedulability under any tie-breaking, so the exact RTA
-    /// the oracle would run can only answer yes. The margin keeps the check
-    /// conservative against `f64` rounding; a marginal set simply takes the
-    /// exact path instead.
+    /// could only answer yes. The margin keeps the check conservative
+    /// against `f64` rounding; a marginal set simply takes the exact path
+    /// instead.
     fn bound_admits(&self, cand_util: f64, cand_implicit: bool) -> bool {
         if self.non_implicit != 0 || !cand_implicit {
             return false;
@@ -361,143 +339,6 @@ impl CoreRows {
         }
         product <= 2.0 - 1e-9
     }
-}
-
-/// The batched response-time partitioner: every task's admission test over
-/// all cores runs through the SoA [`BatchRtaKernel`], one lane per core, in
-/// chunks of up to [`LANES`] cores. Allocation-free on the per-task hot
-/// path, and bit-identical to [`partition_tasks_scalar`] with
-/// [`AdmissionTest::ResponseTime`].
-fn partition_tasks_batched(
-    tasks: &TaskSet,
-    cores: usize,
-    config: &PartitionConfig,
-    stats: &mut BatchStats,
-) -> Result<Partition, PartitionError> {
-    let mut partition = Partition::new(tasks.len(), cores);
-    let mut next_fit_cursor = 0usize;
-    let mut states: Vec<CoreRows> = (0..cores).map(|_| CoreRows::default()).collect();
-    let mut kernel = BatchRtaKernel::new();
-    let mut admit = vec![false; cores];
-    let mut admitting: Vec<(CoreId, f64)> = Vec::new();
-    let mut rta_scratch: Vec<ResponseTime> = Vec::new();
-    let mut pending: Vec<usize> = Vec::with_capacity(cores);
-
-    for task_id in pack_order(tasks, config.ordering) {
-        let candidate = &tasks[task_id];
-        let cw = candidate.wcet().as_ticks();
-        let cp = candidate.period().as_ticks();
-        let cd = candidate.deadline().as_ticks();
-        let cu = candidate.utilization();
-
-        // Cores the hyperbolic bound certifies outright skip the exact
-        // test entirely (the bound proves the whole merged core
-        // schedulable, dirty rows included); the rest queue for the kernel.
-        pending.clear();
-        for core in 0..cores {
-            if states[core].bound_admits(cu, cd == cp) {
-                admit[core] = true;
-                states[core].dirty = None;
-            } else {
-                pending.push(core);
-            }
-        }
-
-        let mut first = 0usize;
-        while first < pending.len() {
-            let lanes = (pending.len() - first).min(LANES);
-            if lanes == 1 {
-                // Ragged single-core remainder: scalar fallback through the
-                // allocation-free RTA path.
-                let core = pending[first];
-                stats.record_fallback();
-                let verdict = scalar_admit(&states[core], tasks, task_id, &mut rta_scratch);
-                admit[core] = verdict;
-                if verdict {
-                    states[core].dirty = None;
-                }
-            } else {
-                kernel.begin(lanes);
-                stats.record_batch(lanes);
-                for lane in 0..lanes {
-                    let st = &states[pending[first + lane]];
-                    let pos = st.test_pos(cp);
-                    for j in 0..pos {
-                        kernel.push(lane, st.wcet[j], st.period[j], st.deadline[j]);
-                    }
-                    kernel.push(lane, cw, cp, cd);
-                    for j in pos..st.id.len() {
-                        kernel.push(lane, st.wcet[j], st.period[j], st.deadline[j]);
-                    }
-                    kernel.set_start(lane, pos.min(st.dirty.unwrap_or(usize::MAX)));
-                }
-                let ok = kernel.verdicts();
-                for lane in 0..lanes {
-                    let core = pending[first + lane];
-                    admit[core] = ok[lane];
-                    if ok[lane] {
-                        // Every row from the start row down was just verified
-                        // against a superset of its current interferers, so
-                        // the core is clean again.
-                        states[core].dirty = None;
-                    }
-                }
-            }
-            first += lanes;
-        }
-
-        admitting.clear();
-        for core in partition.core_ids() {
-            if admit[core.0] {
-                admitting.push((core, states[core.0].utilization()));
-            }
-        }
-        let chosen = choose_core(&admitting, config.heuristic, cores, &mut next_fit_cursor);
-        match chosen {
-            Some(core) => {
-                partition.assign(task_id, core);
-                let st = &mut states[core.0];
-                let test = st.test_pos(cp);
-                let state = st.state_pos(cp, task_id.0);
-                st.insert(state, task_id.0, cw, cp, cd, candidate.utilization());
-                if state < test {
-                    // Tied rows with larger ids (now at `state + 1 ..= test`)
-                    // gained the candidate as an interferer without being
-                    // verified against it; re-check them next time.
-                    let stale = state + 1;
-                    st.dirty = Some(st.dirty.map_or(stale, |d| d.min(stale)));
-                }
-            }
-            None => {
-                return Err(PartitionError {
-                    task: task_id,
-                    partial: partition,
-                })
-            }
-        }
-    }
-    Ok(partition)
-}
-
-/// Scalar admission of `candidate` onto the core described by `state`,
-/// reproducing [`AdmissionTest::admits_with`] for
-/// [`AdmissionTest::ResponseTime`] through the allocation-free
-/// [`rta::response_times_into`] (the response-time buffer is reused across
-/// calls).
-fn scalar_admit(
-    state: &CoreRows,
-    tasks: &TaskSet,
-    candidate: TaskId,
-    rta_scratch: &mut Vec<ResponseTime>,
-) -> bool {
-    let mut set = TaskSet::empty();
-    for &id in &state.util_id {
-        set.push(tasks[TaskId(id)].clone());
-    }
-    set.push(tasks[candidate].clone());
-    let pa = PriorityAssignment::assign(&set, PriorityPolicy::RateMonotonic);
-    rta::response_times_into(&set, &pa, rta_scratch);
-    rta_scratch.iter().all(|r| r.is_schedulable())
 }
 
 /// Partitions `tasks` over `cores` cores with the paper's default
@@ -663,8 +504,9 @@ mod tests {
         // DecreasingUtilization packs id1 before id0; both share a period,
         // so id0 is admitted *below* id1 during its own test (candidate-last
         // tie-breaking) but sits *above* id1 once assigned, silently breaking
-        // id1's tight deadline. The next admission on that core must fail in
-        // both modes — the batched path via its dirty-row re-verification.
+        // id1's tight deadline. The next admission on that core must fail,
+        // as a full re-verification of the core would — the incremental
+        // test via its dirty-row re-verification.
         let id0 = RtTask::new(
             Time::from_millis(1),
             Time::from_millis(10),
@@ -686,43 +528,26 @@ mod tests {
         let tasks = set(vec![id0, id1, id2]);
         let cfg = PartitionConfig::new(Heuristic::FirstFit, AdmissionTest::ResponseTime)
             .with_ordering(TaskOrdering::DecreasingUtilization);
-        let mut stats = BatchStats::default();
-        let batch =
-            partition_tasks_with_mode(&tasks, 2, &cfg, BatchMode::Batch, &mut stats).unwrap();
-        let scalar = partition_tasks_with_mode(
-            &tasks,
-            2,
-            &cfg,
-            BatchMode::Scalar,
-            &mut BatchStats::default(),
-        )
-        .unwrap();
-        assert_eq!(batch, scalar);
-        // id2 is pushed off core 0 by the stale (and now re-verified) id1.
-        assert_eq!(batch.core_of(TaskId(0)), Some(CoreId(0)));
-        assert_eq!(batch.core_of(TaskId(1)), Some(CoreId(0)));
-        assert_eq!(batch.core_of(TaskId(2)), Some(CoreId(1)));
-        assert!(stats.lanes_filled[2] > 0);
-        // id0 and id2 are implicit-deadline, so the hyperbolic bound admits
-        // the emptier core without the kernel and only the core holding the
-        // tight-deadline id1 needs the exact test — a single lane, which
-        // takes the scalar fallback.
-        assert_eq!(stats.scalar_fallbacks, 2);
+        let p = partition_tasks(&tasks, 2, &cfg).unwrap();
+        // id2 is pushed off core 0 by the stale (and now re-verified) id1:
+        // the full test rejects {id0, id1, id2} on core 0.
+        assert_eq!(p.core_of(TaskId(0)), Some(CoreId(0)));
+        assert_eq!(p.core_of(TaskId(1)), Some(CoreId(0)));
+        assert_eq!(p.core_of(TaskId(2)), Some(CoreId(1)));
+        assert!(!AdmissionTest::ResponseTime.admits(&tasks));
     }
 
     #[test]
-    fn non_rta_admission_falls_back_to_scalar_and_counts_it() {
+    fn non_rta_admission_tests_the_full_core_content() {
         let tasks = set(vec![task(4, 10); 4]);
         let cfg = PartitionConfig::new(Heuristic::NextFit, AdmissionTest::UtilizationOnly);
-        let mut stats = BatchStats::default();
-        let p = partition_tasks_with_mode(&tasks, 2, &cfg, BatchMode::Batch, &mut stats).unwrap();
+        let p = partition_tasks(&tasks, 2, &cfg).unwrap();
         assert_eq!(p.tasks_on(CoreId(0)).len(), 2);
-        assert_eq!(stats.scalar_fallbacks, 1);
-        assert!(stats.lanes_filled.iter().all(|&c| c == 0));
-        // Scalar mode records nothing at all.
-        let mut silent = BatchStats::default();
-        let q = partition_tasks_with_mode(&tasks, 2, &cfg, BatchMode::Scalar, &mut silent).unwrap();
-        assert_eq!(p, q);
-        assert!(silent.is_empty());
+        // The hyperbolic bound admits less than exact RTA: two 0.4 tasks
+        // per core pass ((1.4)^2 = 1.96), a third would not.
+        let cfg = PartitionConfig::new(Heuristic::FirstFit, AdmissionTest::Hyperbolic);
+        let p = partition_tasks(&tasks, 2, &cfg).unwrap();
+        assert_eq!(p.tasks_on(CoreId(0)).len(), 2);
+        assert_eq!(p.tasks_on(CoreId(1)).len(), 2);
     }
 }

@@ -44,8 +44,5 @@ pub mod heuristics;
 pub mod partition;
 
 pub use admission::AdmissionTest;
-pub use heuristics::{
-    partition_tasks, partition_tasks_with_mode, Heuristic, PartitionConfig, PartitionError,
-    TaskOrdering,
-};
+pub use heuristics::{partition_tasks, Heuristic, PartitionConfig, PartitionError, TaskOrdering};
 pub use partition::{CoreId, Partition};

@@ -1,11 +1,10 @@
 //! Property-based tests for the partitioning heuristics.
 
 use proptest::prelude::*;
-use rt_core::batch::{BatchMode, BatchStats};
 use rt_core::rta::is_schedulable_rm;
-use rt_core::{RtTask, TaskSet, Time};
+use rt_core::{RtTask, TaskId, TaskSet, Time};
 use rt_partition::{
-    partition_tasks, partition_tasks_with_mode, AdmissionTest, Heuristic, PartitionConfig,
+    partition_tasks, AdmissionTest, CoreId, Heuristic, Partition, PartitionConfig, PartitionError,
     TaskOrdering,
 };
 
@@ -17,6 +16,19 @@ fn arb_task() -> impl Strategy<Value = RtTask> {
 
 fn arb_taskset() -> impl Strategy<Value = TaskSet> {
     prop::collection::vec(arb_task(), 1..=16).prop_map(TaskSet::new)
+}
+
+/// Random tasks with constrained deadlines (`C <= D <= T`).
+fn arb_constrained_task() -> impl Strategy<Value = RtTask> {
+    (500u64..=30_000, 40_000u64..=500_000, 0.3f64..=1.0).prop_map(|(c, t, d_frac)| {
+        let deadline = ((t as f64 * d_frac) as u64).clamp(c, t);
+        RtTask::new(
+            Time::from_micros(c),
+            Time::from_micros(t),
+            Time::from_micros(deadline),
+        )
+        .unwrap()
+    })
 }
 
 fn all_configs() -> Vec<PartitionConfig> {
@@ -31,12 +43,68 @@ fn all_configs() -> Vec<PartitionConfig> {
             for o in [
                 TaskOrdering::Declaration,
                 TaskOrdering::DecreasingUtilization,
+                TaskOrdering::IncreasingPeriod,
             ] {
                 cfgs.push(PartitionConfig::new(h, a).with_ordering(o));
             }
         }
     }
     cfgs
+}
+
+/// The naive reference partitioner: offers the tasks in the configured
+/// order and runs the admission test on every core's full task set plus
+/// the candidate, exactly as the heuristics are defined.
+fn reference_partition(
+    tasks: &TaskSet,
+    cores: usize,
+    config: &PartitionConfig,
+) -> Result<Partition, PartitionError> {
+    let mut order: Vec<TaskId> = tasks.ids().collect();
+    match config.ordering {
+        TaskOrdering::Declaration => {}
+        TaskOrdering::DecreasingUtilization => order.sort_by(|&a, &b| {
+            tasks[b]
+                .utilization()
+                .partial_cmp(&tasks[a].utilization())
+                .unwrap()
+                .then(a.0.cmp(&b.0))
+        }),
+        TaskOrdering::IncreasingPeriod => order.sort_by_key(|&id| (tasks[id].period(), id.0)),
+    }
+    let mut partition = Partition::new(tasks.len(), cores);
+    let mut cursor = 0usize;
+    for id in order {
+        let admitting: Vec<(CoreId, f64)> = partition
+            .core_ids()
+            .filter(|&core| {
+                config
+                    .admission
+                    .admits_with(&partition.taskset_on(tasks, core), &tasks[id])
+            })
+            .map(|core| (core, partition.utilization_on(tasks, core)))
+            .collect();
+        let by_util = |a: &&(CoreId, f64), b: &&(CoreId, f64)| a.1.partial_cmp(&b.1).unwrap();
+        let chosen = match config.heuristic {
+            Heuristic::FirstFit => admitting.first(),
+            Heuristic::BestFit => admitting.iter().max_by(by_util),
+            Heuristic::WorstFit => admitting.iter().min_by(by_util),
+            Heuristic::NextFit => (0..cores)
+                .map(|offset| CoreId((cursor + offset) % cores))
+                .find_map(|core| admitting.iter().find(|&&(c, _)| c == core)),
+        };
+        let Some(&(core, _)) = chosen else {
+            return Err(PartitionError {
+                task: id,
+                partial: partition,
+            });
+        };
+        if config.heuristic == Heuristic::NextFit {
+            cursor = core.0;
+        }
+        partition.assign(id, core);
+    }
+    Ok(partition)
 }
 
 proptest! {
@@ -86,43 +154,53 @@ proptest! {
     }
 
     #[test]
-    fn batched_partitioner_matches_the_scalar_oracle(set in arb_taskset(), cores in 2usize..=9) {
-        // Cores up to 9 exercise the ragged single-lane remainder chunk.
+    fn partitioner_matches_the_naive_reference(
+        tasks in prop::collection::vec(arb_constrained_task(), 1..=16),
+        cores in 1usize..=9
+    ) {
+        // Every heuristic, ordering and core count 1..=9, constrained
+        // deadlines included: the incremental row check, the hyperbolic
+        // skip and the dirty-row re-verification must reproduce the full
+        // admission test on every core's whole task set.
+        let set = TaskSet::new(tasks);
         for cfg in all_configs() {
-            let mut stats = BatchStats::default();
-            let batch = partition_tasks_with_mode(&set, cores, &cfg, BatchMode::Batch, &mut stats);
-            let scalar = partition_tasks_with_mode(
-                &set,
-                cores,
-                &cfg,
-                BatchMode::Scalar,
-                &mut BatchStats::default(),
+            prop_assert_eq!(
+                partition_tasks(&set, cores, &cfg),
+                reference_partition(&set, cores, &cfg),
+                "config {:?} diverged",
+                cfg
             );
-            prop_assert_eq!(batch, scalar, "config {:?} diverged", cfg);
         }
     }
 
     #[test]
-    fn batched_partitioner_matches_oracle_under_heavy_period_ties(
-        wcets in prop::collection::vec(500u64..=30_000, 1..=12),
-        cores in 2usize..=4
+    fn partitioner_matches_the_naive_reference_under_period_ties(
+        tasks in prop::collection::vec((500u64..=30_000, 0.3f64..=1.0, 0usize..2), 1..=12),
+        cores in 1usize..=4
     ) {
         // Periods drawn from a two-value pool force rate-monotonic ties, the
-        // corner where candidate-last tie-breaking and assigned-order differ.
-        let set: TaskSet = wcets
+        // corner where candidate-last tie-breaking and assigned-order
+        // differ; constrained deadlines make the stale rows matter.
+        let set: TaskSet = tasks
             .iter()
-            .enumerate()
-            .map(|(i, &c)| {
-                let t = if i % 2 == 0 { 40_000 } else { 80_000 };
-                RtTask::implicit_deadline(Time::from_micros(c.min(t)), Time::from_micros(t)).unwrap()
+            .map(|&(c, d_frac, pool)| {
+                let t = [40_000, 80_000][pool];
+                let deadline = ((t as f64 * d_frac) as u64).clamp(c, t);
+                RtTask::new(
+                    Time::from_micros(c),
+                    Time::from_micros(t),
+                    Time::from_micros(deadline),
+                )
+                .unwrap()
             })
             .collect();
         for cfg in all_configs() {
-            let batch = partition_tasks_with_mode(
-                &set, cores, &cfg, BatchMode::Batch, &mut BatchStats::default());
-            let scalar = partition_tasks_with_mode(
-                &set, cores, &cfg, BatchMode::Scalar, &mut BatchStats::default());
-            prop_assert_eq!(batch, scalar, "config {:?} diverged", cfg);
+            prop_assert_eq!(
+                partition_tasks(&set, cores, &cfg),
+                reference_partition(&set, cores, &cfg),
+                "config {:?} diverged",
+                cfg
+            );
         }
     }
 

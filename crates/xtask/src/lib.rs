@@ -2,7 +2,7 @@
 //! `cargo xtask lint`, the determinism & concurrency static-analysis gate.
 //!
 //! The sweeps' headline invariant — byte-identical output across runs,
-//! thread counts, shards, batch-vs-scalar kernels and obs-on/off — is
+//! thread counts, shards, resume points, store state and obs-on/off — is
 //! enforced dynamically by `tests/dse_determinism.rs` on sampled grids. The
 //! linter proves the *static* side of the same contract on every line of the
 //! workspace: no unsorted hash iteration on output paths (D001), no

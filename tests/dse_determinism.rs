@@ -299,15 +299,27 @@ fn three_policy_paired_sweeps_are_byte_identical_across_thread_counts() {
     }
 }
 
+/// 64-bit FNV-1a: a dependency-free digest for pinning output bytes.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
 #[test]
-fn batched_and_scalar_kernels_stream_identical_bytes() {
-    // The batch-kernel contract, pinned: switching the engine between the
-    // 8-lane structure-of-arrays kernels (the default) and the scalar
-    // oracles never changes an output byte — nor a reuse counter — across
-    // the full allocator and period-policy axes, at any thread count.
-    let mut spec = ScenarioSpec::synthetic("batch-identity");
-    spec.cores = vec![2, 4];
-    spec.utilizations = UtilizationGrid::NormalizedSteps(3);
+fn full_axis_sweep_matches_the_recorded_golden_digests() {
+    // `dse sweep --cores 2,4,8 --utils 0.3,0.6,0.8,0.9,0.95,1.0
+    // --allocators hydra,singlecore,nphydra --period-policy
+    // fixed,adapt,joint --trials 2`: 324 records, 87 unschedulable,
+    // reaching partition admission, Eq. (1) and the joint scan. The
+    // digests are of the `sweep.jsonl`, `sweep.csv` and `sweep_summary.csv`
+    // files the CLI wrote for this spec before the analysis paths were
+    // reduced to one (SHA-256 5325f326…, a945b336…, 0ae22c3a…, pinned in
+    // CI); every later build must reproduce them byte for byte, with the
+    // same reuse counters at every thread count.
+    let mut spec = ScenarioSpec::synthetic("sweep");
+    spec.cores = vec![2, 4, 8];
+    spec.utilizations = UtilizationGrid::Fractions(vec![0.3, 0.6, 0.8, 0.9, 0.95, 1.0]);
     spec.allocators = vec![
         AllocatorKind::Hydra,
         AllocatorKind::SingleCore,
@@ -320,51 +332,26 @@ fn batched_and_scalar_kernels_stream_identical_bytes() {
     ];
     spec.trials = 2;
 
-    let (scalar, scalar_memo) = collect_with_memo(
-        SweepSession::new(spec.clone())
-            .threads(1)
-            .batch_mode(BatchMode::Scalar),
-    );
-    let scalar_jsonl = to_jsonl(&scalar);
-    let scalar_csv = to_csv(&scalar);
-    let scalar_summary = summary_to_csv(&aggregate(&scalar));
-
-    for threads in [1usize, 2, 4] {
-        for mode in [BatchMode::Batch, BatchMode::Scalar] {
-            let (run, memo) = collect_with_memo(
-                SweepSession::new(spec.clone())
-                    .threads(threads)
-                    .batch_mode(mode),
-            );
-            let label = format!("threads={threads} mode={mode:?}");
-            assert_eq!(memo, scalar_memo, "memo counters differ with {label}");
-            assert_eq!(to_jsonl(&run), scalar_jsonl, "JSONL differs with {label}");
-            assert_eq!(to_csv(&run), scalar_csv, "CSV differs with {label}");
-            assert_eq!(
-                summary_to_csv(&aggregate(&run)),
-                scalar_summary,
-                "summary differs with {label}"
-            );
-        }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
-
-    #[test]
-    fn batching_on_and_off_agree_on_random_sweeps(spec in arb_spec()) {
-        // Quantified over random axes: the batched default and the scalar
-        // oracle serialize every sweep to the identical bytes.
-        let batched = run(&spec, 1);
-        let scalar = collect(
-            SweepSession::new(spec.clone())
-                .threads(1)
-                .batch_mode(BatchMode::Scalar),
+    let mut first_memo = None;
+    for threads in [1usize, 2] {
+        let (run, memo) = collect_with_memo(SweepSession::new(spec.clone()).threads(threads));
+        assert_eq!(run.len(), 324);
+        assert_eq!(run.iter().filter(|o| !o.schedulable).count(), 87);
+        let digests = [
+            fnv1a(to_jsonl(&run).as_bytes()),
+            fnv1a(to_csv(&run).as_bytes()),
+            fnv1a(summary_to_csv(&aggregate(&run)).as_bytes()),
+        ];
+        assert_eq!(
+            digests,
+            [
+                0xeb0a_b6c2_0438_bf26,
+                0x73ff_82ad_67bc_b6ce,
+                0x005d_e25e_3f4c_e76d
+            ],
+            "output bytes moved at threads={threads}"
         );
-        prop_assert_eq!(&batched, &scalar);
-        prop_assert_eq!(to_jsonl(&batched), to_jsonl(&scalar));
-        prop_assert_eq!(to_csv(&batched), to_csv(&scalar));
+        assert_eq!(*first_memo.get_or_insert(memo), memo, "threads={threads}");
     }
 }
 
